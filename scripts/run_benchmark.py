@@ -6,8 +6,8 @@ Default is the desk-scale protocol (ambient dimension 30, 3 pairs and
 the large protocol (dimension 100, 5 pairs, 10 starts) and adds three
 parameter variants: S at mu = 1/sin^2(theta_p), S at mu = 1/2 +
 1/sin^2(theta_p), and T at mu = 1.5.  The S variants resolve their mu
-from each sampled pair, so they are replayed from the stored seeds
-through the same instances the fixed methods saw.
+from each sampled pair inside the same run, on the instances the other
+methods see.
 
 Outputs summary.csv, records.csv, and per-method (theta_F, median
 iterations) profiles under --out.
@@ -18,65 +18,19 @@ import math
 import sys
 from pathlib import Path
 
-from projrates import (
-    BenchmarkTable,
-    CategoryGrid,
-    DivergenceError,
-    InstanceRecord,
-    MethodSpec,
-    iterate,
-    run_grid,
-    sample_pair,
-    start_vector,
-)
+from projrates import CategoryGrid, MethodSpec, run_grid
 
 DESK_METHODS = ["BT", "S:best", "T:best", "MAP", "DR"]
-FULL_FIXED_METHODS = ["BT", "S:best", "T:best", "T:1.5", "MAP", "DR"]
-
-#: per-pair parameter rules replayed on top of the fixed methods
-VARIANTS = (
-    ("S[1/tp]", lambda tp: 1.0 / math.sin(tp) ** 2),
-    ("S[0.5+1/tp]", lambda tp: 0.5 + 1.0 / math.sin(tp) ** 2),
-)
-
-
-def replay_variants(grid: CategoryGrid, table: BenchmarkTable) -> list:
-    """Run the per-pair S variants on the instances recorded in ``table``."""
-    base = table.methods[0]
-    instances = [r for r in table.records if r.method == base]
-    geoms = {}
-    records = []
-    for rec in instances:
-        if rec.pair_seed not in geoms:
-            i = rec.primary_index
-            j = int(rec.cell.split("Z")[1]) - 1
-            geoms[rec.pair_seed] = sample_pair(grid, (i, j), rec.pair_seed)
-        geom = geoms[rec.pair_seed]
-        x0 = start_vector(grid.ambient_dim, rec.start_seed, norm=grid.start_norm)
-        for label, rule in VARIANTS:
-            spec = MethodSpec("S", mu=rule(geom.theta_p))
-            try:
-                trace = iterate(spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter)
-                solved = trace.solved
-                count = trace.iterations if solved else grid.max_iter
-            except DivergenceError:
-                solved, count = False, grid.max_iter
-            records.append(
-                InstanceRecord(
-                    cell=rec.cell,
-                    primary_index=rec.primary_index,
-                    pair_index=rec.pair_index,
-                    start_index=rec.start_index,
-                    pair_seed=rec.pair_seed,
-                    start_seed=rec.start_seed,
-                    theta_F=rec.theta_F,
-                    theta_p=rec.theta_p,
-                    method=label,
-                    iterations=count,
-                    solved=solved,
-                )
-            )
-    return records
+FULL_METHODS = [
+    "BT",
+    "S:best",
+    ("S[1/tp]", lambda geom: MethodSpec("S", mu=1.0 / math.sin(geom.theta_p) ** 2)),
+    ("S[0.5+1/tp]", lambda geom: MethodSpec("S", mu=0.5 + 1.0 / math.sin(geom.theta_p) ** 2)),
+    "T:best",
+    "T:1.5",
+    "MAP",
+    "DR",
+]
 
 
 def main(argv=None) -> int:
@@ -90,7 +44,7 @@ def main(argv=None) -> int:
 
     if args.full:
         grid = CategoryGrid(ambient_dim=100, pairs_per_cell=5, starts_per_pair=10)
-        methods = FULL_FIXED_METHODS
+        methods = FULL_METHODS
         out_dir = Path(args.out or "bench_full")
     else:
         grid = CategoryGrid()
@@ -100,34 +54,8 @@ def main(argv=None) -> int:
     print(f"grid: n={grid.ambient_dim}, {grid.pairs_per_cell} pairs x "
           f"{grid.starts_per_pair} starts per cell, seed={args.seed}")
     table = run_grid(grid, methods, master_seed=args.seed)
-
-    if args.full:
-        extra = replay_variants(grid, table)
-        order = ["BT", "S:best", "S[1/tp]", "S[0.5+1/tp]",
-                 "T:best", "T:1.5", "MAP", "DR"]
-        table = BenchmarkTable(
-            grid=grid,
-            methods=tuple(order),
-            master_seed=args.seed,
-            records=tuple(table.records) + tuple(extra),
-        )
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "summary.csv", "w") as fh:
-        table.write_summary_csv(fh)
-    with open(out_dir / "records.csv", "w") as fh:
-        table.write_records_csv(fh)
-    table.write_profile_csvs(out_dir)
-
-    labels = [table.grid.primary_label(i) for i in range(len(table.grid.primary_bins))]
-    print(f"\n{'method':<14}{'stat':<10}" + "".join(f"{w:>12}" for w in labels))
-    first = table.methods[0]
-    counts = [table.stats(i, first)["instances"] for i in range(len(labels))]
-    print(f"{'':<14}{'instances':<10}" + "".join(f"{c:>12}" for c in counts))
-    for method in table.methods:
-        for stat in ("median", "mean", "std", "unsolved"):
-            vals = [table.stats(i, method)[stat] for i in range(len(labels))]
-            print(f"{method:<14}{stat:<10}" + "".join(f"{v:>12g}" for v in vals))
+    table.export(out_dir)
+    print("\n" + table.format_summary())
     print(f"\nwrote {out_dir}/")
     return 0
 

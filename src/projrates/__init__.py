@@ -111,6 +111,7 @@ __all__ = [
     "intersection",
     "iterate",
     "limit_projector",
+    "pair_geometry",
     "parse_matrix",
     "parse_method",
     "power_limit",

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import pathlib
 import statistics
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,7 +50,18 @@ class CategoryGrid:
     max_iter: int = 100000
 
     def __post_init__(self):
-        bins = tuple(tuple(float(e) for e in b) for b in self.primary_bins)
+        for f in fields(self):
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            value = getattr(self, f.name)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                noun = "an integer" if f.type == "int" else "a real number"
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        try:
+            bins = tuple((float(lo), float(hi)) for lo, hi in self.primary_bins)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"primary_bins must be a list of [lo, hi] pairs, got {self.primary_bins!r}"
+            ) from None
         object.__setattr__(self, "primary_bins", bins)
         if not bins:
             raise ValueError("need at least one primary bin")
@@ -80,17 +93,12 @@ class CategoryGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CategoryGrid":
-        known = {
-            "primary_bins", "secondary_bins", "ambient_dim", "pairs_per_cell",
-            "starts_per_pair", "start_norm", "eps", "max_iter",
-        }
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ValueError(f"grid config must be a JSON object, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown grid config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "primary_bins" in kwargs:
-            kwargs["primary_bins"] = tuple(tuple(b) for b in kwargs["primary_bins"])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 def _derive_seed(master_seed: int, *path: int) -> int:
@@ -214,21 +222,49 @@ class BenchmarkTable:
             "instances": len(counts),
         }
 
-    # -- exports ------------------------------------------------------------
-
-    def write_summary_csv(self, fh) -> None:
-        """Summary table: one row per method and statistic, one column per
-        primary bin."""
+    def summary_rows(self) -> list:
+        """Summary table: a header, the instance counts, then one row per
+        method and statistic, one column per primary bin.  Values are left
+        unformatted."""
         n_bins = len(self.grid.primary_bins)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "statistic"] + [self.grid.primary_label(i) for i in range(n_bins)])
-        writer.writerow(
-            ["", "instances"] + [self.stats(i, self.methods[0])["instances"] for i in range(n_bins)]
-        )
+        rows = [
+            ["method", "statistic"] + [self.grid.primary_label(i) for i in range(n_bins)],
+            ["", "instances"] + [self.stats(i, self.methods[0])["instances"] for i in range(n_bins)],
+        ]
         for method in self.methods:
             per_bin = [self.stats(i, method) for i in range(n_bins)]
             for stat in ("median", "mean", "std", "unsolved"):
-                writer.writerow([method, stat] + [repr(b[stat]) for b in per_bin])
+                rows.append([method, stat] + [b[stat] for b in per_bin])
+        return rows
+
+    def format_summary(self) -> str:
+        """The summary table as aligned text columns."""
+        header, *rows = self.summary_rows()
+        cells = [header] + [row[:2] + [f"{v:g}" for v in row[2:]] for row in rows]
+        widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
+        return "\n".join(
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells
+        )
+
+    # -- exports ------------------------------------------------------------
+
+    def export(self, out_dir) -> None:
+        """Write summary.csv, records.csv and the per-method profiles into
+        ``out_dir``, creating it if needed."""
+        out_dir = pathlib.Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "summary.csv", "w") as fh:
+            self.write_summary_csv(fh)
+        with open(out_dir / "records.csv", "w") as fh:
+            self.write_records_csv(fh)
+        self.write_profile_csvs(out_dir)
+
+    def write_summary_csv(self, fh) -> None:
+        """``summary_rows`` as CSV, values written with ``repr``."""
+        header, *rows = self.summary_rows()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(row[:2] + [repr(v) for v in row[2:]] for row in rows)
 
     def write_records_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -247,8 +283,6 @@ class BenchmarkTable:
         """Per-method files of (theta_F, median iterations over the pair's
         starts), sorted by angle: the raw data behind an iterations-vs-angle
         plot."""
-        import pathlib
-
         out_dir = pathlib.Path(out_dir)
         written = []
         for method in self.methods:
@@ -262,7 +296,7 @@ class BenchmarkTable:
                 (theta_f, statistics.median(sorted(counts)))
                 for (_, _, theta_f), counts in per_pair.items()
             )
-            path = out_dir / f"profile_{method.replace(':', '_')}.csv"
+            path = out_dir / f"profile_{method.replace(':', '_').replace('/', '_')}.csv"
             with open(path, "w") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["theta_F", "median_iterations"])
@@ -275,12 +309,20 @@ class BenchmarkTable:
 def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
     """Run every method on every seeded (cell, pair, start) instance.
 
-    ``methods`` may hold MethodSpec objects or method strings.  All methods
-    see identical pairs and starts.  A method whose iteration diverges or
-    hits max_iter records the instance as unsolved at max_iter.
+    ``methods`` may hold MethodSpec objects, method strings, or
+    ``(label, rule)`` pairs whose ``rule(geom)`` returns the MethodSpec to
+    run on each sampled pair; records carry the label.  All methods see
+    identical pairs and starts.  A method whose iteration diverges or hits
+    max_iter records the instance as unsolved at max_iter.
     """
-    specs = [m if isinstance(m, MethodSpec) else parse_method(m) for m in methods]
-    if not specs:
+    rules = []
+    for m in methods:
+        if isinstance(m, tuple):
+            rules.append(m)
+        else:
+            spec = m if isinstance(m, MethodSpec) else parse_method(m)
+            rules.append((spec.label, lambda geom, spec=spec: spec))
+    if not rules:
         raise ValueError("need at least one method")
     records = []
     n = grid.ambient_dim
@@ -289,10 +331,11 @@ def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
             for k in range(grid.pairs_per_cell):
                 pair_seed = _derive_seed(master_seed, i, j, k)
                 geom = sample_pair(grid, (i, j), pair_seed)
+                specs = [(label, rule(geom)) for label, rule in rules]
                 for m in range(grid.starts_per_pair):
                     start_seed = _derive_seed(master_seed, i, j, k, 1000 + m)
                     x0 = start_vector(n, start_seed, norm=grid.start_norm)
-                    for spec in specs:
+                    for label, spec in specs:
                         try:
                             trace = iterate(
                                 spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter
@@ -312,14 +355,14 @@ def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
                                 start_seed=start_seed,
                                 theta_F=geom.theta_F,
                                 theta_p=geom.theta_p,
-                                method=spec.label,
+                                method=label,
                                 iterations=count,
                                 solved=solved,
                             )
                         )
     return BenchmarkTable(
         grid=grid,
-        methods=tuple(s.label for s in specs),
+        methods=tuple(label for label, _ in rules),
         master_seed=int(master_seed),
         records=tuple(records),
     )

@@ -20,10 +20,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bench import CategoryGrid, read_records_csv, run_grid, table_from_records
+from .bench import CategoryGrid, read_records_csv, run_grid, start_vector, table_from_records
 from .matio import MatrixFormatError, read_matrix, read_vector
 from .methods import (
     DivergenceError,
@@ -123,9 +121,7 @@ def cmd_solve(args) -> int:
     if args.x0 is not None:
         x0 = read_vector(args.x0)
     else:
-        rng = np.random.default_rng(args.seed)
-        x0 = rng.standard_normal(geom.ambient_dim)
-        x0 *= args.x0_norm / np.linalg.norm(x0)
+        x0 = start_vector(geom.ambient_dim, args.seed, args.x0_norm)
 
     diverged_at = None
     try:
@@ -175,18 +171,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK if solved else EXIT_NOT_SOLVED
 
 
-def _print_summary(table) -> None:
-    n_bins = len(table.grid.primary_bins)
-    labels = [table.grid.primary_label(i) for i in range(n_bins)]
-    header = ["method", "statistic"] + labels
-    rows = [["", "instances"] + [str(table.stats(i, table.methods[0])["instances"]) for i in range(n_bins)]]
-    for method in table.methods:
-        per_bin = [table.stats(i, method) for i in range(n_bins)]
-        for stat in ("median", "mean", "std", "unsolved"):
-            rows.append([method, stat] + [f"{b[stat]:g}" for b in per_bin])
-    widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
-    for row in [header] + rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _bin_stats(table) -> dict:
+    """Per method, per primary bin label: the statistics of ``--json``."""
+    return {
+        method: {
+            table.grid.primary_label(i): table.stats(i, method)
+            for i in range(len(table.grid.primary_bins))
+        }
+        for method in table.methods
+    }
 
 
 def cmd_bench(args) -> int:
@@ -199,24 +192,15 @@ def cmd_bench(args) -> int:
     table = run_grid(grid, methods, master_seed=args.seed)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "summary.csv", "w") as fh:
-        table.write_summary_csv(fh)
-    with open(out_dir / "records.csv", "w") as fh:
-        table.write_records_csv(fh)
-    table.write_profile_csvs(out_dir)
+    table.export(out_dir)
 
     if args.json:
-        stats = {
-            method: {
-                table.grid.primary_label(i): table.stats(i, method)
-                for i in range(len(table.grid.primary_bins))
-            }
-            for method in table.methods
-        }
-        print(json.dumps({"master_seed": args.seed, "out": str(out_dir), "stats": stats}, indent=2))
+        print(json.dumps(
+            {"master_seed": args.seed, "out": str(out_dir), "stats": _bin_stats(table)},
+            indent=2,
+        ))
     else:
-        _print_summary(table)
+        print(table.format_summary())
         print(f"\nwrote {out_dir}/summary.csv, records.csv, and per-method profiles")
     return EXIT_OK
 
@@ -231,16 +215,9 @@ def cmd_report(args) -> int:
         with open(args.out, "w") as fh:
             table.write_summary_csv(fh)
     if args.json:
-        stats = {
-            method: {
-                table.grid.primary_label(i): table.stats(i, method)
-                for i in range(len(table.grid.primary_bins))
-            }
-            for method in table.methods
-        }
-        print(json.dumps({"stats": stats}, indent=2))
+        print(json.dumps({"stats": _bin_stats(table)}, indent=2))
     else:
-        _print_summary(table)
+        print(table.format_summary())
     return EXIT_OK
 
 

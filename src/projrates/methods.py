@@ -10,11 +10,11 @@ Seven schemes built from the projectors P_U, P_V of a measured pair:
     BT     S with the step size chosen by exact line search at each iterate
     AT     T with the step size chosen by exact line search at each iterate
 
-Each linear scheme converges to the orthogonal projection onto U /\ V for
+Each linear scheme converges to the orthogonal projection onto U ∩ V for
 mu inside an interval determined by the principal angles, at a linear rate
 given in closed form by the subdominant eigenvalue of the iteration matrix.
 ``predict_rate`` evaluates those formulas; ``iterate`` runs the scheme with
-the stopping rule "distance of the monitored point to U /\ V <= eps".
+the stopping rule "distance of the monitored point to U ∩ V <= eps".
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def convergence_interval(kind: str, geom: PairGeometry) -> tuple[float, float]:
 
 
 def perp_intersection_projector(geom: PairGeometry) -> np.ndarray:
-    """Orthogonal projector onto (U + V)-perp, i.e. U-perp /\ V-perp."""
+    """Orthogonal projector onto (U + V)-perp, i.e. U-perp ∩ V-perp."""
     q = subspace_from_spanning(np.hstack([geom.U.basis, geom.V.basis])).basis
     return np.eye(geom.ambient_dim) - q @ q.T
 
@@ -208,7 +208,7 @@ def limit_projector(spec: MethodSpec, geom: PairGeometry) -> np.ndarray:
     """Limit of the scheme's matrix powers on its convergence interval.
 
     T and S converge to the intersection projector; R and DR fix the
-    larger space (U /\ V) + (U-perp /\ V-perp), and it is their P_V shadow
+    larger space (U ∩ V) + (U-perp ∩ V-perp), and it is their P_V shadow
     that lands on the intersection.
     """
     if spec.kind in SHADOW_KINDS:
@@ -289,7 +289,7 @@ def adaptive_step(spec: MethodSpec, geom: PairGeometry, x: np.ndarray) -> tuple[
     """One BT or AT step: move along the scheme's line to the point nearest
     the intersection.
 
-    The search direction w is orthogonal to U /\ V, so the minimizing step
+    The search direction w is orthogonal to U ∩ V, so the minimizing step
     is <w, x>/||w||^2 even though the intersection is unknown.  When w
     vanishes the iterate is already optimal on its line and the plain
     mu = 1 step is taken.
@@ -325,7 +325,6 @@ class IterationTrace:
     solved: bool
     iterations: int | None
     x_final: np.ndarray = field(repr=False)
-    iterates: tuple | None = field(default=None, repr=False)
 
     def write_csv(self, fh) -> None:
         fh.write("n,distance,mu\n")
@@ -345,9 +344,8 @@ def iterate(
     x0: np.ndarray,
     eps: float = 0.01,
     max_iter: int = 100000,
-    keep_iterates: bool = False,
 ) -> IterationTrace:
-    """Run a method until the monitored point is within eps of U /\ V.
+    """Run a method until the monitored point is within eps of U ∩ V.
 
     R and DR monitor the P_V shadow of the orbit; all other schemes monitor
     the orbit itself.  The starting point counts as iteration 0.  Raises
@@ -369,7 +367,6 @@ def iterate(
 
     distances = [distance(x)]
     mu_history: list[float] = []
-    iterates = [x.copy()] if keep_iterates else None
     blowup = 1e12 * max(1.0, distances[0])
 
     solved = distances[0] <= eps
@@ -383,8 +380,6 @@ def iterate(
         n += 1
         d = distance(x)
         distances.append(d)
-        if keep_iterates:
-            iterates.append(x.copy())
         if d > blowup:
             raise DivergenceError(
                 f"{spec.label}: distance to the intersection reached {d:.3e} "
@@ -401,7 +396,6 @@ def iterate(
         solved=solved,
         iterations=n if solved else None,
         x_final=x,
-        iterates=None if iterates is None else tuple(iterates),
     )
 
 

@@ -147,6 +147,12 @@ def intersection(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> Subspace:
     if qu.shape[1] > qv.shape[1]:
         qu, qv = qv, qu
     s, _ = friedrichs(u, v, zero_tol)
+    return _intersection_basis(qu, qv, s)
+
+
+def _intersection_basis(qu: np.ndarray, qv: np.ndarray, s: int) -> Subspace:
+    """Span of the first ``s`` principal directions of ``qu``, the basis of
+    the smaller space: U intersect V once ``s`` zero angles are counted."""
     left, _, _ = np.linalg.svd(qu.T @ qv)
     return Subspace(qu @ left[:, :s])
 
@@ -202,7 +208,7 @@ def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeome
         theta_p=float(angles[-1]),
         P_U=projector(u),
         P_V=projector(v),
-        P_M=projector(intersection(u, v, zero_tol)),
+        P_M=projector(_intersection_basis(u.basis, v.basis, s)),
     )
 
 

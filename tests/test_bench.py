@@ -20,6 +20,7 @@ from projrates.bench import (
     start_vector,
     table_from_records,
 )
+from projrates.methods import MethodSpec, iterate
 from projrates.subspaces import intersection
 
 TINY = CategoryGrid(
@@ -62,6 +63,14 @@ def test_grid_labels():
         dict(secondary_bins=0),
         dict(pairs_per_cell=0),
         dict(ambient_dim=0),
+        dict(pairs_per_cell="3"),
+        dict(max_iter=True),
+        dict(ambient_dim=30.0),
+        dict(eps="0.01"),
+        dict(start_norm=None),
+        dict(primary_bins=3),
+        dict(primary_bins=((0.1, "x"),)),
+        dict(primary_bins=((0.1, 0.2, 0.3),)),
     ],
 )
 def test_grid_rejects_bad_config(kwargs):
@@ -74,6 +83,8 @@ def test_grid_dict_round_trip():
     assert back == TINY
     with pytest.raises(ValueError):
         CategoryGrid.from_dict({"ambient_dim": 10, "bogus": 1})
+    with pytest.raises(ValueError, match="JSON object"):
+        CategoryGrid.from_dict(3)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +181,28 @@ def test_stats_match_textbook_formulas(tiny_table):
                 for r in tiny_table.records
                 if r.method == method and r.primary_index == i and not r.solved
             )
+
+
+def test_run_grid_per_pair_rule_matches_independent_iterate(tmp_path):
+    # a (label, rule) entry resolves its spec from each sampled pair; every
+    # record must equal a stand-alone iterate() on the replayed instance
+    def rule(geom):
+        return MethodSpec("S", mu=1.0 / math.sin(geom.theta_p) ** 2)
+
+    table = run_grid(TINY, ["MAP", ("S[1/tp]", rule)], master_seed=5)
+    assert table.methods == ("MAP", "S[1/tp]")
+    variant = [r for r in table.records if r.method == "S[1/tp]"]
+    assert len(variant) == 2 * 2 * 2 * 2
+    for rec in variant:
+        j = int(rec.cell.split("Z")[1]) - 1
+        geom = sample_pair(TINY, (rec.primary_index, j), rec.pair_seed)
+        x0 = start_vector(TINY.ambient_dim, rec.start_seed, norm=TINY.start_norm)
+        mu = 1.0 / math.sin(geom.theta_p) ** 2
+        trace = iterate(MethodSpec("S", mu=mu), geom, x0, eps=TINY.eps, max_iter=TINY.max_iter)
+        assert rec.solved == trace.solved
+        assert rec.iterations == (trace.iterations if trace.solved else TINY.max_iter)
+    table.export(tmp_path)  # a "/" in a label must not end up in a file path
+    assert (tmp_path / "profile_S[1_tp].csv").exists()
 
 
 def test_unsolved_instances_counted_at_max_iter():

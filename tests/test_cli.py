@@ -222,6 +222,13 @@ def test_bench_infeasible_grid_names_cell(tmp_path, capsys):
     assert "W1Z1" in capsys.readouterr().err
 
 
+def test_bench_mistyped_config_names_field(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"pairs_per_cell": "3"}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "pairs_per_cell" in capsys.readouterr().err
+
+
 def test_report_matches_bench_summary(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     main(["bench", "--config", str(tiny_config), "--seed", "7",

@@ -221,6 +221,27 @@ def test_pair_geometry_intersection_projector():
     assert math.isclose(d_mine, distance_to_span(x, m.basis), rel_tol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "n, angles, q",
+    [(9, [0.0, 0.5, 1.0], 4), (12, [0.0, 0.0, 0.3, 0.9], 6), (10, [0.4, 0.6], 2)],
+)
+def test_pair_geometry_three_svds_and_same_intersection_bits(monkeypatch, n, angles, q):
+    u, v = canonical_pair(n, angles, q=q, seed=13)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    geoms = [pair_geometry(u, v), pair_geometry(v, u)]
+    assert len(calls) == 6  # cosines, sines, principal directions per pair
+    monkeypatch.undo()
+    for geom, (a, b) in zip(geoms, [(u, v), (v, u)]):
+        np.testing.assert_array_equal(geom.P_M, projector(intersection(a, b)))
+
+
 def test_norm_identities_of_measured_pair():
     # ||P_U P_V - P_M|| = cos(theta_F), ||P_U - P_U P_V|| = sin(theta_p),
     # ||P_U - P_U P_V P_U|| = sin^2(theta_p)
