@@ -68,6 +68,11 @@ class CategoryGrid:
         for lo, hi in bins:
             if not 0.0 <= lo < hi <= math.pi / 2:
                 raise ValueError(f"bad primary bin [{lo}, {hi})")
+            if hi <= MIN_ANGLE + 2 * EDGE_MARGIN:
+                raise ValueError(
+                    f"primary bin [{lo}, {hi}) ends at or below the smallest sampled "
+                    f"Friedrichs angle {MIN_ANGLE + 2 * EDGE_MARGIN!r}"
+                )
         for (_, hi), (lo, _) in zip(bins, bins[1:]):
             if lo < hi:
                 raise ValueError("primary bins must be disjoint and ascending")

@@ -189,7 +189,11 @@ def cmd_bench(args) -> int:
     else:
         grid = CategoryGrid()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    table = run_grid(grid, methods, master_seed=args.seed)
+    try:
+        table = run_grid(grid, methods, master_seed=args.seed)
+    except RuntimeError as exc:  # sample_pair: a re-measured pair left its cell
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     out_dir = Path(args.out)
     table.export(out_dir)

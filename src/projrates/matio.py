@@ -1,11 +1,14 @@
 """Plain-text matrix files.
 
 Format: a header line ``n m`` with the row and column counts, followed by
-``n`` lines of ``m`` whitespace-separated decimal entries.  Blank lines and
-lines starting with ``#`` are ignored.
+``n`` lines of ``m`` whitespace-separated decimal entries, all finite
+(``nan`` and ``inf`` are rejected).  Blank lines and lines starting with
+``#`` are ignored.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,12 +57,16 @@ def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
             )
         for j, token in enumerate(entries):
             try:
-                out[i, j] = float(token)
+                value = float(token)
             except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                problem = "could not parse" if value is None else "non-finite entry"
                 raise MatrixFormatError(
                     f"{name}, line {lineno} (row {i + 1}, col {j + 1}): "
-                    f"could not parse {token!r} as a number"
-                ) from None
+                    f"{problem} {token!r}; expected a finite number"
+                )
+            out[i, j] = value
     return out
 
 

@@ -20,13 +20,12 @@ the stopping rule "distance of the monitored point to U ∩ V <= eps".
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .subspaces import PairGeometry, subspace_from_spanning
-
-EPS = float(np.finfo(float).eps)
+from .subspaces import EPS, PairGeometry, subspace_from_spanning
 
 RELAXED_KINDS = ("T", "S", "R")
 FIXED_KINDS = ("MAP", "DR", "BT", "AT")
@@ -351,52 +350,230 @@ def iterate(
     the orbit itself.  The starting point counts as iteration 0.  Raises
     DivergenceError if the monitored distance grows past 1e12 times its
     starting value.
+
+    The orbit runs in the pair's principal coordinates (``geom.frame``):
+    every scheme acts on one 2x2 block per nonzero angle and as a scalar on
+    V ∩ U-perp and on (U + V)-perp, and fixes U ∩ V.  A step costs O(p)
+    instead of a dense O(n^2) matrix-vector product; the linear schemes
+    advance whole chunks of steps at once (``_linear_orbit``).
     """
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != geom.ambient_dim:
         raise ValueError(f"x0 has dimension {x.size}, expected {geom.ambient_dim}")
-    adaptive = spec.kind in ("BT", "AT")
-    operator = None if adaptive else build_operator(spec, geom)
+    if not np.all(np.isfinite(x)):
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise ValueError(f"x0 has a non-finite entry {x[bad]!r} at index {bad}")
     mu = resolve_mu(spec, geom)
-    shadow = spec.kind in SHADOW_KINDS
-    p_m, p_v = geom.P_M, geom.P_V
-
-    def distance(point: np.ndarray) -> float:
-        z = p_v @ point if shadow else point
-        return float(np.linalg.norm(z - p_m @ z))
-
-    distances = [distance(x)]
-    mu_history: list[float] = []
-    blowup = 1e12 * max(1.0, distances[0])
-
-    solved = distances[0] <= eps
-    n = 0
-    while not solved and n < max_iter:
-        if adaptive:
-            x, mu_n = adaptive_step(spec, geom, x)
-            mu_history.append(mu_n)
-        else:
-            x = operator @ x
-        n += 1
-        d = distance(x)
-        distances.append(d)
-        if d > blowup:
-            raise DivergenceError(
-                f"{spec.label}: distance to the intersection reached {d:.3e} "
-                f"at iteration {n}; the scheme does not converge here",
-                step=n,
-            )
-        solved = d <= eps
-
+    frame = geom.frame
+    parts = frame.split(x)
+    if spec.kind in ("BT", "AT"):
+        orbit, mu_history, coords = _adaptive_orbit(spec, frame, parts, eps, max_iter)
+    else:
+        orbit, coords = _linear_orbit(spec, mu, frame, parts, eps, max_iter)
+        mu_history = ()
     return IterationTrace(
         method=spec.label,
         mu=mu,
-        distances=np.asarray(distances),
-        mu_history=tuple(mu_history),
-        solved=solved,
-        iterations=n if solved else None,
-        x_final=x,
+        distances=orbit.distances(),
+        mu_history=mu_history,
+        solved=orbit.solved,
+        iterations=orbit.steps if orbit.solved else None,
+        x_final=frame.join(*coords),
     )
+
+
+class _Orbit:
+    """The monitored distances of one run and its stopping rule: stop at
+    the first step within eps, raise DivergenceError past 1e12 times the
+    starting distance, give up after max_iter steps."""
+
+    def __init__(self, label: str, d0: float, eps: float, max_iter: int):
+        self.label, self.eps, self.max_iter = label, eps, max_iter
+        self.blowup = 1e12 * max(1.0, d0)
+        self.chunks = [np.array([d0])]
+        self.tail = array("d")  # distances recorded one step at a time
+        self.steps = 0
+        self.solved = d0 <= eps
+
+    @property
+    def running(self) -> bool:
+        return not self.solved and self.steps < self.max_iter
+
+    def extend(self, d: np.ndarray) -> int:
+        """Record the distances of the next steps up to the first that stops
+        the run; returns how many steps were taken."""
+        hit = np.flatnonzero((d > self.blowup) | (d <= self.eps))
+        if hit.size:
+            d = d[: hit[0] + 1]
+        self.chunks.append(d)
+        self.steps += d.size
+        if hit.size:
+            if d[-1] > self.blowup:
+                raise self._diverged(d[-1])
+            self.solved = True
+        return d.size
+
+    def catch_up(self) -> None:
+        """Apply the stopping rule to the distances a loop appended to
+        ``tail``, one per step, up to the first step that meets it."""
+        if not self.tail:
+            return
+        self.steps = len(self.tail)
+        if self.tail[-1] > self.blowup:
+            raise self._diverged(self.tail[-1])
+        self.solved = self.tail[-1] <= self.eps
+
+    def _diverged(self, d: float) -> DivergenceError:
+        return DivergenceError(
+            f"{self.label}: distance to the intersection reached {d:.3e} "
+            f"at iteration {self.steps}; the scheme does not converge here",
+            step=self.steps,
+        )
+
+    def distances(self) -> np.ndarray:
+        return np.concatenate(self.chunks + [np.frombuffer(self.tail)])
+
+
+#: a chunk of linear steps holds at most this many block-step states
+_CHUNK_ELEMENTS = 1 << 16
+#: steps in the first chunk of a linear run; later chunks double
+_FIRST_CHUNK = 16
+
+
+def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
+    """T/S/R/MAP/DR in principal coordinates.
+
+    Row k < K holds the (u_k, w_k) coordinates of plane k, on which the
+    scheme is the 2x2 block [[1 - mu s^2, mu c s], [b21, b22]]: b21, b22 are
+    0, 1 - mu for T, 0, 0 for S and -mu c s, 1 - mu s^2 for R (a scaled
+    rotation).  The last row holds the norms of the V ∩ U-perp part and of
+    the (U + V)-perp remainder, which the scheme scales by (1 - mu, 1 - mu),
+    (0, 0) and (1 - mu, 1) respectively.  A chunk of m steps is filled by
+    doubling: the states at steps h..2h-1 are B^h times those at 0..h-1, with
+    B^h from repeated squaring, so a chunk costs O(K m) multiplications in
+    log2(m) batched 2x2 products.
+    """
+    along_u, along_w, in_extra, rest = parts
+    s, c, sn = frame.s, frame.cos, frame.sin
+    e_norm, r_norm = math.sqrt(in_extra @ in_extra), math.sqrt(rest @ rest)
+    kind = {"MAP": "T", "DR": "R"}.get(spec.kind, spec.kind)
+    rows = c.size + 1
+    block = np.zeros((rows, 2, 2))
+    block[:-1, 0, 0] = 1.0 - mu * sn * sn
+    block[:-1, 0, 1] = mu * c * sn
+    if kind == "T":
+        block[:, 1, 1] = block[-1, 0, 0] = 1.0 - mu
+    elif kind == "R":
+        block[:-1, 1, 0] = -block[:-1, 0, 1]
+        block[:-1, 1, 1] = block[:-1, 0, 0]
+        block[-1, 0, 0], block[-1, 1, 1] = 1.0 - mu, 1.0
+    powers = [block]  # B^(2^i)
+    state = np.empty((rows, 2))
+    state[:-1, 0], state[:-1, 1], state[-1] = along_u[s:], along_w, (e_norm, r_norm)
+
+    if kind == "R":  # the P_V shadow: (c, s) . (u, w) in each plane, the V ∩ U-perp part
+        weights = np.append(np.stack([c, sn], axis=1), [[1.0, 0.0]], axis=0)
+
+        def monitored(states):
+            shadow = np.einsum("rc,rct->rt", weights, states)
+            return np.sqrt(np.einsum("rt,rt->t", shadow, shadow))
+    else:
+
+        def monitored(states):
+            return np.sqrt(np.einsum("rct,rct->t", states, states))
+
+    orbit = _Orbit(spec.label, float(monitored(state[:, :, None])[0]), eps, max_iter)
+    size = _FIRST_CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while orbit.running:
+            m = min(size, max_iter - orbit.steps)
+            states = np.empty((rows, 2, m + 1))
+            states[:, :, 0] = state
+            h, i = 1, 0
+            while h <= m:
+                if i == len(powers):
+                    powers.append(powers[-1] @ powers[-1])
+                k = min(h, m + 1 - h)
+                np.matmul(powers[i], states[:, :, :k], out=states[:, :, h : h + k])
+                h, i = h + k, i + 1
+            state = states[:, :, orbit.extend(monitored(states[:, :, 1:]))]
+            size = min(2 * size, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows))
+
+    along_u = along_u.copy()
+    along_u[s:] = state[:-1, 0]
+    e_end, r_end = state[-1]
+    coords = (along_u, state[:-1, 1],
+              in_extra * (e_end / e_norm if e_norm else 0.0),
+              rest * (r_end / r_norm if r_norm else 0.0))
+    return orbit, coords
+
+
+def _adaptive_orbit(spec, frame, parts, eps, max_iter):
+    """BT and AT in principal coordinates: the line-search step of
+    ``adaptive_step`` on the (u_k, w_k) coordinates (a, b) of each plane and
+    on the norm of the rest.
+
+    In plane k the search direction of BT, P_U x - P_U P_V x, has u_k
+    coordinate s (s a - c b) and no w_k part; AT's, x - P_U P_V x, adds the
+    w_k coordinate b and the whole V ∩ U-perp and (U + V)-perp parts, which
+    its step scales by 1 - mu.  BT's first step lands in U.  From then on
+    its direction is t a with t = s^2, so a step only scales a by 1 - mu t,
+    and mu comes from the moments sum(t^i a^2), i = 0, 1, 2.
+    """
+    along_u, along_w, in_extra, rest = parts
+    s, c, sn = frame.s, frame.cos, frame.sin
+    a, b = along_u[s:].copy(), along_w.copy()
+    fixed = float(along_u[:s] @ along_u[:s])  # squared norm of the U ∩ V part
+    other = float(in_extra @ in_extra + rest @ rest)
+    scale = 1.0  # factor on the V ∩ U-perp part and the (U + V)-perp remainder
+    bt = spec.kind == "BT"
+    orbit = _Orbit(spec.label, math.sqrt(float(a @ a + b @ b) + other), eps, max_iter)
+    mus = array("d")
+    while orbit.running and not (bt and mus):
+        wu = sn * (sn * a - c * b)
+        bb = float(b @ b)
+        ww, wx = float(wu @ wu), float(wu @ a)
+        if not bt:
+            ww, wx = ww + bb + other, wx + bb + other
+        if ww <= (1e-14 * math.sqrt(float(a @ a) + bb + other + fixed)) ** 2:
+            mu, a, b, other, scale = 1.0, c * (c * a + sn * b), np.zeros_like(b), 0.0, 0.0
+        elif bt:
+            mu = wx / ww
+            a, b, other, scale = a - mu * wu, np.zeros_like(b), 0.0, 0.0
+        else:
+            mu = wx / ww
+            a, b = a - mu * wu, (1.0 - mu) * b
+            other, scale = other * (1.0 - mu) ** 2, scale * (1.0 - mu)
+        mus.append(mu)
+        orbit.tail.append(math.sqrt(float(a @ a + b @ b) + other))
+        orbit.catch_up()
+    if bt:
+        t = sn * sn
+        c2, neg_t = c * c, -t
+        moments = np.stack([np.ones_like(t), t, t * t])
+        g, sq, out = np.empty_like(t), a * a, np.empty(3)
+        m0, m1, m2 = (moments @ sq).tolist()
+        tail, eps, blowup = orbit.tail, orbit.eps, orbit.blowup
+        for _ in range(max_iter - orbit.steps if orbit.running else 0):
+            if m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2:
+                mu = 1.0
+                a *= c2
+            else:
+                mu = m1 / m2
+                np.multiply(neg_t, mu, out=g)
+                g += 1.0
+                a *= g
+            np.multiply(a, a, out=sq)
+            m0, m1, m2 = np.dot(moments, sq, out=out).tolist()
+            d = math.sqrt(m0)
+            mus.append(mu)
+            tail.append(d)
+            if d > blowup or d <= eps:
+                break
+        orbit.catch_up()
+    along_u = along_u.copy()
+    along_u[s:] = a
+    return orbit, tuple(mus), (along_u, b, in_extra * scale, rest * scale)
 
 
 def fit_rate(distances: np.ndarray, floor: float = 1e-13) -> float | None:
@@ -454,17 +631,16 @@ def _adaptive_bound_ratio(
         x = geom.P_U @ (geom.P_V @ x0)
         first_factor = cos_f
 
-    spec = MethodSpec(kind)
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        x, _ = adaptive_step(spec, geom, x)
-        lhs = float(np.linalg.norm(x - geom.P_M @ x0))
-        # BT: step n is within gamma^(n-1) * first_factor of the start's
-        # distance; AT gains one extra contraction from the seeding step.
-        exponent = n - 1 if kind == "BT" else n
-        envelope = (gamma ** exponent) * first_factor * d0
-        worst = max(worst, lhs / (envelope + floor))
-    return worst
+    # the steps keep the U ∩ V part of the start, so the distance of step n
+    # to P_M x0 is its monitored distance; eps = 0 runs all n_max steps
+    # unless the orbit lands exactly on the intersection
+    lhs = iterate(MethodSpec(kind), geom, x, eps=0.0, max_iter=n_max).distances[1:]
+    n = np.arange(1, lhs.size + 1)
+    # BT: step n is within gamma^(n-1) * first_factor of the start's
+    # distance; AT gains one extra contraction from the seeding step.
+    exponent = n - 1 if kind == "BT" else n
+    envelope = (gamma ** exponent) * first_factor * d0
+    return float(np.max(lhs / (envelope + floor), initial=0.0))
 
 
 def verify_bt_bound(geom: PairGeometry, x0: np.ndarray, n_max: int = 50) -> tuple[bool, float]:

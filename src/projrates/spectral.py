@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPS = float(np.finfo(float).eps)
+from .subspaces import EPS
 
 
 class SpectralError(ValueError):

@@ -14,6 +14,7 @@ exactly those angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,14 +148,67 @@ def intersection(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> Subspace:
     if qu.shape[1] > qv.shape[1]:
         qu, qv = qv, qu
     s, _ = friedrichs(u, v, zero_tol)
-    return _intersection_basis(qu, qv, s)
-
-
-def _intersection_basis(qu: np.ndarray, qv: np.ndarray, s: int) -> Subspace:
-    """Span of the first ``s`` principal directions of ``qu``, the basis of
-    the smaller space: U intersect V once ``s`` zero angles are counted."""
     left, _, _ = np.linalg.svd(qu.T @ qv)
     return Subspace(qu @ left[:, :s])
+
+
+@dataclass(frozen=True, eq=False)
+class PrincipalFrame:
+    """Principal coordinates of a pair: the basis in which every projection
+    scheme is block diagonal (Halmos' two-subspace theorem).
+
+    For each of the ``K = p - s`` nonzero angles theta_k the plane spanned by
+    the principal vectors u_k (in U) and w_k (the unit vector along the
+    U-perp part of v_k) carries ``P_U = [[1, 0], [0, 0]]`` and
+    ``P_V = [[c^2, cs], [cs, s^2]]`` with ``c, s = cos, sin theta_k``.  The
+    first ``s`` principal vectors of U span U ∩ V, which every scheme fixes.
+    What is left of a point splits into its part in V ∩ U-perp (P_U = 0,
+    P_V = 1) and its remainder in (U + V)-perp (P_U = P_V = 0).
+
+    u_k and v_k come from the SVD of Q_U^T Q_V that ``pair_geometry`` already
+    factors for P_M, so U ∩ V here is exactly the range of P_M.  There
+    w_k = (v_k - c u_k) / s is exact to about EPS / s^2, which is enough for
+    sin(theta_k) >= 1/8.  The planes of smaller angles are re-paired, and
+    their w_k stored, as ``PairGeometry.frame`` describes.  No n x n or
+    n x K matrix is formed for the others.
+    """
+
+    s: int
+    qu: np.ndarray  # n x p basis of U
+    left: np.ndarray  # p x p: the principal vectors of U are qu @ left
+    qv: np.ndarray  # n x q basis of V
+    v_rows: np.ndarray  # v_k = qv @ v_rows[j] for the planes after the re-paired ones
+    extra: np.ndarray  # (q - p) x q: V ∩ U-perp is spanned by qv @ extra.T
+    w: np.ndarray  # n x k: w_k of the k re-paired planes, the first k
+    cos: np.ndarray  # K cosines of the nonzero angles
+    sin: np.ndarray  # K sines of the nonzero angles
+
+    def combine(self, along_u, along_w, in_extra) -> np.ndarray:
+        """The vector with these coordinates along the principal vectors of
+        U, the w_k and the basis ``qv @ extra.T`` of V ∩ U-perp."""
+        k = self.w.shape[1]
+        t = along_w[k:] / self.sin[k:]  # w_k = (v_k - c u_k) / s past the first k
+        in_u = self.left @ along_u - self.left[:, self.s + k :] @ (self.cos[k:] * t)
+        return (self.qu @ in_u + self.qv @ (self.v_rows.T @ t + self.extra.T @ in_extra)
+                + self.w @ along_w[:k])
+
+    def split(self, x: np.ndarray) -> tuple:
+        """Principal coordinates of ``x``: along the principal vectors of U
+        (the first s span U ∩ V), along the w_k, along V ∩ U-perp, and the
+        remainder in (U + V)-perp as a vector."""
+        in_v = self.qv.T @ x
+        along_u = self.left.T @ (self.qu.T @ x)
+        k = self.w.shape[1]
+        along_w = np.concatenate([
+            self.w.T @ x,
+            (self.v_rows @ in_v - self.cos[k:] * along_u[self.s + k :]) / self.sin[k:],
+        ])
+        in_extra = self.extra @ in_v
+        return along_u, along_w, in_extra, x - self.combine(along_u, along_w, in_extra)
+
+    def join(self, along_u, along_w, in_extra, rest) -> np.ndarray:
+        """Inverse of ``split``."""
+        return self.combine(along_u, along_w, in_extra) + rest
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +244,48 @@ class PairGeometry:
     def ambient_dim(self) -> int:
         return self.U.ambient_dim
 
+    @cached_property
+    def uv_svd(self) -> tuple:
+        """SVD (left, cosines, right^T) of Q_U^T Q_V.  ``pair_geometry``
+        stores the one it computes for P_M."""
+        return tuple(np.linalg.svd(self.U.basis.T @ self.V.basis))
+
+    @cached_property
+    def frame(self) -> PrincipalFrame:
+        """The pair's principal coordinates, built on first use from the
+        stored SVD of Q_U^T Q_V.
+
+        Where sin(theta) < 1/8 the cosines cluster near 1, and that SVD pairs
+        u_k with v_k too loosely.  Those planes are re-paired from the SVD of
+        the U-perp parts of their v_k (n x k for k such angles), as
+        ``principal_angles`` measures small angles from the sines.
+        """
+        qu, qv = self.U.basis, self.V.basis
+        left, _, right_t = self.uv_svd
+        p, s = self.p, self.s
+        nonzero = self.angles[s:]
+        k = int(np.count_nonzero(np.sin(nonzero) < 0.125))
+        v_rows, extra = right_t[s + k : p], right_t[p:]
+        w = qv @ right_t[s : s + k].T
+        for _ in range(2):  # the U-perp parts, orthogonal to U to working precision
+            w -= qu @ (qu.T @ w)
+        if k:
+            # and to the other w's and V ∩ U-perp, whose rounding is large
+            # next to sin(theta)
+            in_v = qv.T @ w
+            sin_rest = np.sin(nonzero[k:])[:, None]
+            t = (v_rows @ in_v) / sin_rest**2  # coordinates along the other w's, over sin
+            w -= qv @ (v_rows.T @ t + extra.T @ (extra @ in_v))
+            w += qu @ (left[:, s + k :] @ (np.cos(nonzero[k:])[:, None] * t))
+            y, _, zt = np.linalg.svd(w, full_matrices=False)
+            w, z = y[:, ::-1], zt[::-1].T  # ascending sines, like the angles
+            left = left.copy()
+            left[:, s : s + k] = left[:, s : s + k] @ z
+        return PrincipalFrame(
+            s=s, qu=qu, left=left, qv=qv, v_rows=v_rows, extra=extra, w=w,
+            cos=np.cos(nonzero), sin=np.sin(nonzero),
+        )
+
 
 def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:
     """Measure a pair of subspaces into a PairGeometry."""
@@ -199,7 +295,8 @@ def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeome
     angles = principal_angles(u, v)
     s = int(np.count_nonzero(angles <= zero_tol))
     theta_f = float(angles[s]) if s < len(angles) else None
-    return PairGeometry(
+    uv_svd = tuple(np.linalg.svd(u.basis.T @ v.basis))
+    geom = PairGeometry(
         U=u,
         V=v,
         angles=angles,
@@ -208,8 +305,11 @@ def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeome
         theta_p=float(angles[-1]),
         P_U=projector(u),
         P_V=projector(v),
-        P_M=projector(_intersection_basis(u.basis, v.basis, s)),
+        # the first s principal directions of U span U intersect V
+        P_M=projector(Subspace(u.basis @ uv_svd[0][:, :s])),
     )
+    geom.__dict__["uv_svd"] = uv_svd  # fills the cached property
+    return geom
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,9 +5,13 @@ budget, and prints a single verdict line (streamed with ``pytest -s``; under
 plain ``pytest -v`` the per-test PASSED/FAILED line carries the verdict).
 """
 
+import hashlib
+import io
+import json
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -206,6 +210,10 @@ def test_criterion_07_adaptive_step_guarantees():
             assert ok, (i, flavor, worst)
 
 
+#: records.csv fingerprint of run_grid(CategoryGrid(), [BT, S:best, T:best, MAP, DR], 2025)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
 def test_criterion_08_benchmark_method_orderings():
     with criterion(8, "desk-scale benchmark reproduces the method orderings", 600.0):
         grid = CategoryGrid()
@@ -219,6 +227,11 @@ def test_criterion_08_benchmark_method_orderings():
         last = n_bins - 1
         assert all(medians["DR"][last] >= medians[m][last] for m in methods)
         assert medians["DR"][0] < medians["MAP"][0]
+        # the iteration counts of seed 2025 are pinned byte for byte
+        buf = io.StringIO()
+        table.write_records_csv(buf)
+        reference = json.loads(REFERENCE.read_text())
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == reference["records_sha256"]
 
 
 def test_criterion_09_spectral_projector_properties():

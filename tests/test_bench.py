@@ -78,6 +78,11 @@ def test_grid_rejects_bad_config(kwargs):
         CategoryGrid(**kwargs)
 
 
+def test_grid_rejects_bin_below_min_angle():
+    with pytest.raises(ValueError, match=r"primary bin \[0.0, 5e-09\)"):
+        CategoryGrid(primary_bins=((0.0, 5e-9),))
+
+
 def test_grid_dict_round_trip():
     back = CategoryGrid.from_dict(TINY.to_dict())
     assert back == TINY

@@ -89,6 +89,15 @@ def test_angles_dimension_mismatch(files, tmp_path, capsys):
     assert "ambient dimensions differ" in capsys.readouterr().err
 
 
+def test_angles_inf_entry_names_position(files, tmp_path, capsys):
+    _, _, _, u_file, _ = files
+    bad = tmp_path / "v_inf.mat"
+    bad.write_text("2 1\n0.5\ninf\n")
+    assert main(["angles", str(u_file), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "row 2, col 1" in err and "non-finite entry 'inf'" in err
+
+
 def test_angles_nested_pair_reported(tmp_path, capsys):
     small = tmp_path / "small.mat"
     write_matrix(small, np.eye(4)[:, :1])
@@ -140,6 +149,17 @@ def test_solve_with_x0_file(files, tmp_path, capsys):
                  "--x0", str(x0), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["solved"]
+
+
+def test_solve_nan_x0_names_position(files, tmp_path, capsys):
+    _, _, _, u_file, v_file = files
+    x0 = tmp_path / "x0.mat"
+    x0.write_text("2 1\nnan\n4.0\n")
+    assert main(["solve", str(u_file), str(v_file), "--method", "MAP",
+                 "--x0", str(x0)]) == 1
+    captured = capsys.readouterr()
+    assert "row 1, col 1" in captured.err and "non-finite entry 'nan'" in captured.err
+    assert "final distance" not in captured.out
 
 
 def test_solve_boundary_mu_warns_and_exits_3(files, capsys):
@@ -220,6 +240,27 @@ def test_bench_infeasible_grid_names_cell(tmp_path, capsys):
                                "secondary_bins": 1}))
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "W1Z1" in capsys.readouterr().err
+
+
+def test_bench_bin_below_min_angle_names_bin(tmp_path, capsys):
+    cfg = tmp_path / "low.json"
+    cfg.write_text(json.dumps({"primary_bins": [[0.0, 5e-9]]}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "primary bin [0.0, 5e-09)" in err
+    assert "high - low" not in err
+
+
+def test_bench_pair_leaving_its_cell_exits_1(tmp_path, capsys):
+    # a bin 1e-11 wide below pi/2: the normalized gap divides by
+    # pi/2 - theta_F, so the re-measured pair misses its secondary bin
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps({
+        "primary_bins": [[math.pi / 2 - 1e-11, math.pi / 2]], "secondary_bins": 5,
+        "ambient_dim": 8, "pairs_per_cell": 1, "starts_per_pair": 1,
+    }))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "fell outside its cell" in capsys.readouterr().err
 
 
 def test_bench_mistyped_config_names_field(tmp_path, capsys):

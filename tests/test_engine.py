@@ -1,0 +1,181 @@
+"""The principal-coordinate engine behind ``iterate`` against the dense
+projector loop ``oracles.dense_iterate``."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+import projrates.methods
+from projrates.methods import DivergenceError, MethodSpec, iterate
+from projrates.subspaces import EPS, canonical_pair, pair_geometry
+
+KINDS = ("T", "S", "R", "MAP", "DR", "BT", "AT")
+
+angle = st.one_of(
+    st.just(0.0),
+    st.just(math.pi / 2),
+    st.floats(-6.0, -3.0).map(lambda e: 10.0**e),
+    st.floats(0.01, 1.5),
+)
+
+
+@st.composite
+def runs(draw):
+    """One run: method, pair, start, eps and max_iter.
+
+    Angle lists mix zeros, pi/2, tiny and ordinary angles, with repeats;
+    q > p and p + q < n occur.  T/S/R take mu = 0, mu inside the
+    convergence interval, at its upper edge (2, or 2/sin^2 theta_p for S),
+    beyond it, or the best mu.
+    """
+    p = draw(st.integers(1, 4))
+    pool = draw(st.lists(angle, min_size=1, max_size=p))
+    angles = sorted(draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p)))
+    assume(angles[-1] > 0.0)
+    q = p + draw(st.integers(0, 2))
+    n = p + q + draw(st.integers(0, 2))
+    geom = pair_geometry(*canonical_pair(n, angles, q, seed=draw(st.integers(0, 2**32 - 1))))
+    assume(geom.theta_F is not None)
+    kind = draw(st.sampled_from(KINDS))
+    if kind in ("T", "S", "R"):
+        edge = 2.0 / math.sin(geom.theta_p) ** 2 if kind == "S" else 2.0
+        where = draw(st.sampled_from(("zero", "inside", "edge", "beyond", "best")))
+        if where == "best":
+            spec = MethodSpec(kind, best=True)
+        else:
+            factor = {"zero": 0.0, "edge": 1.0,
+                      "inside": draw(st.floats(0.01, 0.99)),
+                      "beyond": draw(st.floats(1.01, 1.5))}[where]
+            spec = MethodSpec(kind, mu=edge * factor)
+    else:
+        spec = MethodSpec(kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.standard_normal(n) * draw(st.floats(0.5, 10.0))
+    eps = 10.0 ** draw(st.floats(-12.0, 0.0))
+    return spec, geom, x0, eps, draw(st.integers(1, 300))
+
+
+def _outcome(run, spec, geom, x0, eps, max_iter):
+    try:
+        return run(spec, geom, x0, eps=eps, max_iter=max_iter)
+    except DivergenceError as exc:
+        return exc.step
+
+
+EPS_LONG = float(np.finfo(np.longdouble).eps)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(runs())
+def test_engine_matches_dense_oracle(case):
+    """Equal outcomes, step counts and lengths; distances, x_final and
+    mu_history within a relative 1e-9 of the dense loop's, run in long
+    double, plus the round-off that neither side can avoid.
+
+    In float64 the dense loop is itself off by more than 1e-9 in much of
+    this range: its steps round at about EPS * |mu| of the point, a tiny
+    angle makes mu ~ 1/sin^2 for S:best, BT and AT, and the line search of
+    BT/AT subtracts nearly equal vectors, losing sin^2(theta_F) of the
+    precision.  In long double that round-off is about 2000 times smaller.
+
+    The unit of round-off on both sides is EPS, plus the leak of P_M's range
+    out of V, which the engine takes as invariant.  For T/S/R add long
+    double's EPS times max(1, |mu| sin(theta_p)): the oracle's operator
+    rounds at |mu| and its next step couples w_k into u_k with weight
+    mu c s.  For BT/AT add that the line search sees the measured angles,
+    exact to about EPS / sin(theta_F) relative, and that the oracle's loses
+    sin^2(theta_F) of long double's precision.  A step magnifies the unit
+    by max(1, |mu|); a line-search step that moves the point by h sets its
+    mu only to |mu| (|x| / h)^2 units, and h is at least the change of
+    distance.
+
+    Left out are runs whose count is not defined to that precision (a
+    distance within tolerance of eps, or a divergence whose growth is not
+    known to 1e-6), and pairs where the oracle's P_M, from the SVD of
+    Q_U^T Q_V, leaves V by more than round-off: a tiny angle next to the
+    intersection blurs that SVD's cluster of cosines near 1.
+    """
+    spec, geom, x0, eps, max_iter = case
+    leak = np.linalg.norm(geom.P_V @ geom.P_M - geom.P_M)
+    assume(leak <= 1e-12)
+    mu = projrates.methods.resolve_mu(spec, geom)
+    unit = 100 * (EPS + leak)
+    if mu is None:  # BT, AT
+        sin_f = math.sin(geom.theta_F)
+        unit += 100 * (EPS / sin_f + EPS_LONG / sin_f**2)
+    else:
+        unit += 100 * EPS_LONG * max(1.0, abs(mu) * math.sin(geom.theta_p))
+    ref = _outcome(oracles.dense_iterate, spec, oracles.extended_geometry(geom), x0, eps, max_iter)
+    got = _outcome(iterate, spec, geom, x0, eps, max_iter)
+    if isinstance(ref, int):  # the first step past 1e12 times the start's distance
+        assume(unit * max(1.0, abs(mu or 0.0)) * ref <= 1e-6)
+        assert got == ref
+        return
+
+    size = np.linalg.norm(x0)
+    d = ref.distances
+    if ref.mu_history:
+        moved = np.maximum(np.abs(np.diff(d)), 1e-150 * size)
+        gain = np.maximum(1.0, np.abs(ref.mu_history)) * np.maximum(1.0, (size / moved) ** 2)
+    else:
+        gain = np.full(len(d) - 1, max(1.0, abs(mu or 0.0)))
+    gain = np.maximum.accumulate(np.append(1.0, gain))
+    tol = (1e-9 + unit * gain) * d + unit * np.cumsum(gain * np.maximum(size, d))
+    assume(np.all(np.abs(d - eps) > tol))
+
+    assert not isinstance(got, int), f"engine diverged at step {got}"
+    assert got.solved == ref.solved
+    assert got.iterations == ref.iterations
+    assert len(got.distances) == len(ref.distances)
+    assert len(got.mu_history) == len(ref.mu_history)
+    assert np.all(np.abs(got.distances - d) <= tol)
+    assert np.linalg.norm(got.x_final - ref.x_final) <= (
+        (1e-9 + unit * gain[-1]) * np.linalg.norm(ref.x_final) + tol[-1])
+    if ref.mu_history:
+        assert np.all(np.abs(np.subtract(got.mu_history, ref.mu_history))
+                      <= (1e-9 + unit * gain[1:]) * np.abs(ref.mu_history))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_engine_builds_no_operator(kind, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("iterate built a dense iteration matrix")
+
+    monkeypatch.setattr(projrates.methods, "build_operator", refuse)
+    geom = pair_geometry(*canonical_pair(12, [0.0, 0.4, 0.9], q=4, seed=5))
+    spec = MethodSpec(kind, best=True) if kind in ("T", "S", "R") else MethodSpec(kind)
+    trace = iterate(spec, geom, np.random.default_rng(1).standard_normal(12), eps=1e-6)
+    assert trace.solved
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_rejected(bad):
+    geom = pair_geometry(*canonical_pair(6, [0.0, 0.5], seed=1))
+    x0 = np.ones(6)
+    x0[4] = bad
+    with pytest.raises(ValueError, match="non-finite entry .* at index 4"):
+        iterate(MethodSpec("MAP"), geom, x0)
+
+
+@pytest.mark.parametrize("angles", [
+    [2e-6, 2e-6, 5e-6, 0.3, math.pi / 2],  # repeated tiny angles and pi/2
+    [0.0, 0.0, 0.3, 0.3, 1.2],  # an intersection and a repeated angle
+])
+def test_frame_is_orthonormal_and_block_diagonal(angles):
+    geom = pair_geometry(*canonical_pair(16, angles, q=7, seed=3))
+    f = geom.frame
+    u = f.qu @ f.left
+    zero_u, zero_extra = np.zeros(f.qu.shape[1]), np.zeros(f.extra.shape[0])
+    w = np.column_stack([f.combine(zero_u, e, zero_extra) for e in np.eye(f.cos.size)])
+    in_v_only = f.qv @ f.extra.T  # V ∩ U-perp
+    basis = np.hstack([u, w, in_v_only])
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-14
+    v = u[:, f.s:] * f.cos + w * f.sin
+    p_v = u[:, : f.s] @ u[:, : f.s].T + v @ v.T + in_v_only @ in_v_only.T
+    assert np.abs(p_v - geom.P_V).max() <= 1e-14
+    x = np.random.default_rng(0).standard_normal(16)
+    np.testing.assert_allclose(f.join(*f.split(x)), x, rtol=0, atol=1e-14)

@@ -52,6 +52,12 @@ def test_bad_entry_reports_row_and_col():
         parse_matrix("2 2\n1 2\n3 oops\n", name="f.mat")
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_non_finite_entry_rejected_with_position(token):
+    with pytest.raises(MatrixFormatError, match=rf"line 3 \(row 2, col 1\): non-finite entry '{token}'"):
+        parse_matrix(f"2 2\n1 2\n{token} 4\n", name="f.mat")
+
+
 def test_comment_lines_do_not_shift_reported_lineno():
     text = "2 2\n# note\n1 2\n3 bad\n"
     with pytest.raises(MatrixFormatError, match=r"line 4 \(row 2, col 2\)"):
