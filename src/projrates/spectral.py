@@ -13,6 +13,7 @@ polynomial factor ``k^(index-1)`` in front of the geometric decay.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -86,10 +87,6 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def default_cluster_tol(a: np.ndarray) -> float:
-    return 1e-7 * max(1.0, operator_norm(a))
-
-
 def default_rank_tol(n: int) -> float:
     return 100 * n * EPS
 
@@ -103,26 +100,32 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``|x_i - y_j|`` for every i, j, rounded as ``abs`` rounds one complex
+    scalar (``np.abs`` on a complex array may differ in the last bit)."""
+    d = x[:, None] - y[None, :]
+    return np.hypot(d.real, d.imag)
+
+
 def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Single-linkage grouping of complex values at distance <= tol."""
+    """Single-linkage grouping of complex values at distance <= tol.
+
+    Groups are the connected components of the graph ``|v_i - v_j| <= tol``,
+    each listed in ascending order, ordered by their first member.
+    """
     m = len(values)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    close = _distances(values, values) <= tol
+    labels = np.arange(m)
+    while True:
+        # every value takes the smallest label within tol of it; at the fixed
+        # point each component carries the label of its first member
+        spread = np.minimum(labels, np.where(close, labels, m).min(axis=1))
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
     groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
     return list(groups.values())
 
 
@@ -158,13 +161,113 @@ def _cluster_index(a: np.ndarray, value: complex, mult: int, rank_tol: float) ->
     )
 
 
-def _min_cluster_gap(reps: list[complex]) -> float:
-    gaps = [abs(x - y) for i, x in enumerate(reps) for y in reps[i + 1 :]]
-    return min(gaps) if gaps else float("inf")
+def _min_cluster_gap(reps) -> float:
+    r = np.asarray(reps, dtype=complex)
+    gaps = _distances(r, r)
+    np.fill_diagonal(gaps, np.inf)
+    return float(gaps.min())
 
 
 # ---------------------------------------------------------------------------
 # eigen structure
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """The clustered spectrum of a matrix before any Jordan index is known.
+
+    Clusters are in report order: by descending modulus, then real part,
+    then imaginary part.  ``partners[i]`` is the position of the conjugate
+    partner of a complex cluster (None for a real one); a pair shares one
+    Jordan index.
+    """
+
+    values: tuple[complex, ...]
+    mults: tuple[int, ...]
+    partners: tuple[int | None, ...]
+    cluster_tol: float
+    rank_tol: float
+
+
+def _clustered_spectrum(
+    a: np.ndarray, cluster_tol: float | None, rank_tol: float | None
+) -> _Spectrum:
+    """Eigenvalues of a checked square matrix, clustered and paired with
+    their conjugates; see ``eigen_structure`` for the tolerances."""
+    norm = operator_norm(a)
+    if not math.isfinite(norm):
+        raise ValueError(
+            "the matrix norm overflows float64: ||A||_2 is not finite; scale the matrix down"
+        )
+    if cluster_tol is None:
+        cluster_tol = 1e-7 * max(1.0, norm)
+    if rank_tol is None:
+        rank_tol = default_rank_tol(a.shape[0])
+    if cluster_tol <= 0 or rank_tol <= 0:
+        raise ValueError("tolerances must be positive")
+
+    eigvals = np.linalg.eigvals(a)
+    reps: list[complex] = []
+    mults: list[int] = []
+    for idx in _cluster_indices(eigvals, cluster_tol):
+        rep = complex(np.mean(eigvals[idx]))
+        if abs(rep.imag) <= cluster_tol:
+            rep = complex(rep.real, 0.0)
+        reps.append(rep)
+        mults.append(len(idx))
+
+    gap = _min_cluster_gap(reps)
+    if gap <= cluster_tol:
+        raise SpectralError(
+            "cluster representatives are not separated by more than "
+            f"cluster_tol={cluster_tol:.3e} (min gap {gap:.3e})"
+        )
+
+    order = sorted(range(len(reps)), key=lambda i: (-abs(reps[i]), -reps[i].real, -reps[i].imag))
+    values = [reps[i] for i in order]
+    mults = [mults[i] for i in order]
+    # real input: complex clusters come in conjugate pairs
+    r = np.asarray(values)
+    near_conj = _distances(r.conj(), r) <= cluster_tol
+    np.fill_diagonal(near_conj, False)
+    partners: list[int | None] = [None] * len(values)
+    for i, value in enumerate(values):
+        if value.imag == 0.0 or partners[i] is not None:
+            continue
+        candidates = np.flatnonzero(near_conj[i])
+        if len(candidates) != 1 or mults[candidates[0]] != mults[i]:
+            raise SpectralError(f"complex cluster {value} lacks a matching conjugate partner")
+        j = int(candidates[0])
+        partners[i], partners[j] = j, i
+    return _Spectrum(tuple(values), tuple(mults), tuple(partners), cluster_tol, rank_tol)
+
+
+def _resolve_indices(a: np.ndarray, spectrum: _Spectrum, positions) -> dict[int, int]:
+    """Jordan index of the clusters at ``positions`` and of their conjugate
+    partners, by the rank test of ``_cluster_index``.  A pair shares the
+    index found for whichever of the two comes first."""
+    wanted = set(positions)
+    wanted.update(spectrum.partners[i] for i in positions if spectrum.partners[i] is not None)
+    indices: dict[int, int] = {}
+    for i in sorted(wanted):
+        if i in indices:
+            continue
+        k = _cluster_index(a, spectrum.values[i], spectrum.mults[i], spectrum.rank_tol)
+        indices[i] = k
+        if spectrum.partners[i] is not None:
+            indices[spectrum.partners[i]] = k
+    return indices
+
+
+def _eigen_cluster(spectrum: _Spectrum, i: int, index: int) -> EigenCluster:
+    value = spectrum.values[i]
+    return EigenCluster(
+        value=value,
+        modulus=abs(value),
+        algebraic_multiplicity=spectrum.mults[i],
+        index=index,
+        semisimple=index == 1,
+    )
 
 
 def eigen_structure(
@@ -179,6 +282,8 @@ def eigen_structure(
     ``|Im| <= cluster_tol`` are projected onto the real axis.  The index of
     each cluster comes from rank stabilization of powers of ``A - value*I``,
     with numerical ranks thresholded at ``rank_tol * ||A - value*I||^k``.
+    Every cluster is resolved, so a cluster whose index the rank test
+    cannot settle raises ``SpectralError``.
 
     Parameters
     ----------
@@ -191,63 +296,14 @@ def eigen_structure(
         still orders of magnitude below the cluster separation scale.
     """
     a = _check_square(a)
-    n = a.shape[0]
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(a)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n)
-    if cluster_tol <= 0 or rank_tol <= 0:
-        raise ValueError("tolerances must be positive")
-
-    eigvals = np.linalg.eigvals(a)
-    groups = _cluster_indices(eigvals, cluster_tol)
-    reps: list[complex] = []
-    mults: list[int] = []
-    for idx in groups:
-        rep = complex(np.mean(eigvals[idx]))
-        if abs(rep.imag) <= cluster_tol:
-            rep = complex(rep.real, 0.0)
-        reps.append(rep)
-        mults.append(len(idx))
-
-    if _min_cluster_gap(reps) <= cluster_tol:
-        raise SpectralError(
-            "cluster representatives are not separated by more than "
-            f"cluster_tol={cluster_tol:.3e} (min gap {_min_cluster_gap(reps):.3e})"
-        )
-
-    # real input: complex clusters come in conjugate pairs sharing one index
-    order = sorted(range(len(reps)), key=lambda i: (-abs(reps[i]), -reps[i].real, -reps[i].imag))
-    indices: dict[int, int] = {}
-    for i in order:
-        if i in indices:
-            continue
-        k = _cluster_index(a, reps[i], mults[i], rank_tol)
-        indices[i] = k
-        if reps[i].imag != 0.0:
-            partner = [
-                j
-                for j in range(len(reps))
-                if j != i and abs(reps[j] - reps[i].conjugate()) <= cluster_tol
-            ]
-            if len(partner) != 1 or mults[partner[0]] != mults[i]:
-                raise SpectralError(
-                    f"complex cluster {reps[i]} lacks a matching conjugate partner"
-                )
-            indices[partner[0]] = k
-
-    clusters = tuple(
-        EigenCluster(
-            value=reps[i],
-            modulus=abs(reps[i]),
-            algebraic_multiplicity=mults[i],
-            index=indices[i],
-            semisimple=indices[i] == 1,
-        )
-        for i in order
+    spectrum = _clustered_spectrum(a, cluster_tol, rank_tol)
+    positions = range(len(spectrum.values))
+    indices = _resolve_indices(a, spectrum, positions)
+    clusters = tuple(_eigen_cluster(spectrum, i, indices[i]) for i in positions)
+    policy = f"sigma > rank_tol * ||A - value*I||^k with rank_tol = {spectrum.rank_tol:.6e}"
+    return EigenStructure(
+        clusters=clusters, cluster_tol=spectrum.cluster_tol, rank_tol_policy=policy
     )
-    policy = f"sigma > rank_tol * ||A - value*I||^k with rank_tol = {rank_tol:.6e}"
-    return EigenStructure(clusters=clusters, cluster_tol=cluster_tol, rank_tol_policy=policy)
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -255,22 +311,16 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def _unit_cluster(struct: EigenStructure) -> EigenCluster | None:
-    for c in struct.clusters:
-        if abs(c.value - 1.0) <= struct.cluster_tol:
-            return c
-    return None
-
-
-def _gamma(struct: EigenStructure) -> tuple[float, tuple[EigenCluster, ...]]:
-    """Subdominant modulus and the clusters attaining it."""
-    unit = _unit_cluster(struct)
-    rest = [c for c in struct.clusters if c is not unit]
+def _subdominant(values, cluster_tol: float) -> tuple[int | None, float, list[int]]:
+    """Position of the unit cluster (None if there is none), the subdominant
+    modulus and the positions of the clusters attaining it."""
+    unit = next((i for i, v in enumerate(values) if abs(v - 1.0) <= cluster_tol), None)
+    rest = [i for i in range(len(values)) if i != unit]
     if not rest:
-        return 0.0, ()
-    gamma = max(c.modulus for c in rest)
-    attaining = tuple(c for c in rest if abs(c.modulus - gamma) <= struct.cluster_tol)
-    return gamma, attaining
+        return unit, 0.0, []
+    gamma = max(abs(values[i]) for i in rest)
+    attaining = [i for i in rest if abs(abs(values[i]) - gamma) <= cluster_tol]
+    return unit, gamma, attaining
 
 
 def subdominant_modulus(
@@ -279,7 +329,8 @@ def subdominant_modulus(
     rank_tol: float | None = None,
 ) -> float:
     """Largest eigenvalue modulus after removing the eigenvalue 1 (0 if none)."""
-    gamma, _ = _gamma(eigen_structure(a, cluster_tol, rank_tol))
+    struct = eigen_structure(a, cluster_tol, rank_tol)
+    _, gamma, _ = _subdominant([c.value for c in struct.clusters], struct.cluster_tol)
     return gamma
 
 
@@ -323,29 +374,36 @@ def classify_convergence(
     ``tol_circle`` of 1 whose value differs from 1 is classified as not
     convergent and flagged as borderline, since no finite computation can
     settle that case.
+
+    Only the unit cluster and the clusters at modulus ``gamma`` (with their
+    conjugate partners) get a Jordan index, because the verdict reads no
+    other; ``eigen_structure`` resolves every cluster.
     """
     a = _check_square(a)
     n = a.shape[0]
-    struct = eigen_structure(a, cluster_tol, rank_tol)
-    rho = max(c.modulus for c in struct.clusters)
-    gamma, attaining = _gamma(struct)
-    unit = _unit_cluster(struct)
-    on_circle = [c for c in struct.clusters if abs(c.modulus - 1.0) <= tol_circle]
-    bad_circle = [c for c in on_circle if c is not unit]
+    spectrum = _clustered_spectrum(a, cluster_tol, rank_tol)
+    values = spectrum.values
+    moduli = [abs(v) for v in values]
+    rho = max(moduli)
+    unit, gamma, attaining = _subdominant(values, spectrum.cluster_tol)
+    indices = _resolve_indices(a, spectrum, attaining if unit is None else [unit, *attaining])
+    subdominant = tuple(_eigen_cluster(spectrum, i, indices[i]) for i in attaining)
+    on_circle = [i for i, m in enumerate(moduli) if abs(m - 1.0) <= tol_circle]
+    bad_circle = [i for i in on_circle if i != unit]
 
     notes: list[str] = []
     convergent = False
     if bad_circle:
-        for c in bad_circle:
+        for i in bad_circle:
             notes.append(
-                f"borderline: |{c.value}| = {c.modulus:.12g} lies within "
+                f"borderline: |{values[i]}| = {moduli[i]:.12g} lies within "
                 f"tol_circle={tol_circle:g} of 1 but the value is not 1"
             )
     elif rho > 1.0 + tol_circle:
         pass  # strictly expanding somewhere
     elif unit is not None and on_circle:
-        convergent = unit.semisimple
-        if not unit.semisimple:
+        convergent = indices[unit] == 1
+        if not convergent:
             notes.append("eigenvalue 1 is defective (index > 1), powers do not converge")
     else:
         # remaining case: every modulus < 1 - tol_circle
@@ -355,11 +413,10 @@ def classify_convergence(
     is_orth = False
     if convergent:
         if unit is not None and on_circle:
-            rt = default_rank_tol(n) if rank_tol is None else rank_tol
             b = a - np.eye(n)
             try:
                 limit = _projector_onto_kernel_along_range(
-                    b, unit.algebraic_multiplicity, rt * operator_norm(b)
+                    b, spectrum.mults[unit], spectrum.rank_tol * operator_norm(b)
                 )
             except SpectralError as exc:
                 # an eigenvalue clustered at 1 whose kernel does not show up
@@ -380,8 +437,8 @@ def classify_convergence(
             and operator_norm(limit @ limit - limit) <= 1e-9 * scale
         )
 
-    optimal = bool(attaining) and all(c.semisimple for c in attaining)
-    if not attaining:
+    optimal = bool(subdominant) and all(c.semisimple for c in subdominant)
+    if not subdominant:
         optimal = True  # spectrum is {1}: powers are eventually constant
 
     return ConvergenceReport(
@@ -389,7 +446,7 @@ def classify_convergence(
         limit=limit,
         spectral_radius=rho,
         gamma=gamma,
-        subdominant_clusters=attaining,
+        subdominant_clusters=subdominant,
         optimal_rate_attained=optimal if convergent else False,
         limit_is_orthogonal_projector=is_orth,
         warnings=tuple(notes),

@@ -4,10 +4,13 @@ against.
 Everything here deliberately avoids the package's own code paths:
 spectra come from characteristic-polynomial roots or from explicit
 construction, projectors from normal equations, rates from renormalized
-matrix squaring, statistics from first-principles formulas.  The one
-exception is ``dense_iterate``, the projection iteration as a dense loop
-over the pair's projectors (``build_operator``, ``adaptive_step``), which
-checks the principal-coordinate engine behind ``iterate``.
+matrix squaring, statistics from first-principles formulas.  Two
+exceptions keep a slow path of the package as the reference for its fast
+one: ``dense_iterate``, the projection iteration as a dense loop over the
+pair's projectors (``build_operator``, ``adaptive_step``), which checks the
+principal-coordinate engine behind ``iterate``; and ``full_classify``, the
+convergence verdict over the fully resolved ``eigen_structure``, which
+checks the Jordan indices ``classify_convergence`` resolves on demand.
 """
 
 import dataclasses
@@ -24,6 +27,15 @@ from projrates.methods import (
     adaptive_step,
     build_operator,
     resolve_mu,
+)
+from projrates.spectral import (
+    ConvergenceReport,
+    EigenStructure,
+    SpectralError,
+    _projector_onto_kernel_along_range,
+    default_rank_tol,
+    eigen_structure,
+    operator_norm,
 )
 from projrates.subspaces import PairGeometry
 
@@ -299,4 +311,133 @@ def dense_iterate(
         solved=solved,
         iterations=n if solved else None,
         x_final=x,
+    )
+
+
+# ---------------------------------------------------------------------------
+# convergence verdicts
+
+
+def union_find_groups(values, tol: float) -> list[list[int]]:
+    """Single-linkage groups of complex values at distance <= tol, by
+    union-find over every pair; groups ordered by first member."""
+    m = len(values)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(values[i] - values[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def loop_min_gap(values) -> float:
+    gaps = [abs(x - y) for i, x in enumerate(values) for y in values[i + 1 :]]
+    return min(gaps) if gaps else float("inf")
+
+
+def _unit_cluster(struct: EigenStructure):
+    for c in struct.clusters:
+        if abs(c.value - 1.0) <= struct.cluster_tol:
+            return c
+    return None
+
+
+def _gamma(struct: EigenStructure):
+    """Subdominant modulus and the clusters attaining it."""
+    unit = _unit_cluster(struct)
+    rest = [c for c in struct.clusters if c is not unit]
+    if not rest:
+        return 0.0, ()
+    gamma = max(c.modulus for c in rest)
+    attaining = tuple(c for c in rest if abs(c.modulus - gamma) <= struct.cluster_tol)
+    return gamma, attaining
+
+
+def full_classify(
+    a: np.ndarray,
+    cluster_tol: float | None = None,
+    rank_tol: float | None = None,
+    tol_circle: float = 1e-7,
+) -> ConvergenceReport:
+    """``classify_convergence`` over the full ``eigen_structure``: the Jordan
+    index of every cluster is resolved, so a rank test that fails on any
+    cluster raises ``SpectralError``, even one the report does not list."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    struct = eigen_structure(a, cluster_tol, rank_tol)
+    rho = max(c.modulus for c in struct.clusters)
+    gamma, attaining = _gamma(struct)
+    unit = _unit_cluster(struct)
+    on_circle = [c for c in struct.clusters if abs(c.modulus - 1.0) <= tol_circle]
+    bad_circle = [c for c in on_circle if c is not unit]
+
+    notes: list[str] = []
+    convergent = False
+    if bad_circle:
+        for c in bad_circle:
+            notes.append(
+                f"borderline: |{c.value}| = {c.modulus:.12g} lies within "
+                f"tol_circle={tol_circle:g} of 1 but the value is not 1"
+            )
+    elif rho > 1.0 + tol_circle:
+        pass  # strictly expanding somewhere
+    elif unit is not None and on_circle:
+        convergent = unit.semisimple
+        if not unit.semisimple:
+            notes.append("eigenvalue 1 is defective (index > 1), powers do not converge")
+    else:
+        # remaining case: every modulus < 1 - tol_circle
+        convergent = rho < 1.0 - tol_circle
+
+    limit = None
+    is_orth = False
+    if convergent:
+        if unit is not None and on_circle:
+            rt = default_rank_tol(n) if rank_tol is None else rank_tol
+            b = a - np.eye(n)
+            try:
+                limit = _projector_onto_kernel_along_range(
+                    b, unit.algebraic_multiplicity, rt * operator_norm(b)
+                )
+            except SpectralError as exc:
+                convergent = False
+                notes.append(f"borderline: {exc}")
+            else:
+                limit = np.asarray(limit, dtype=float)
+        else:
+            limit = np.zeros((n, n))
+    if not convergent:
+        limit = None
+    if limit is not None:
+        scale = max(1.0, operator_norm(limit))
+        is_orth = (
+            operator_norm(limit - limit.T) <= 1e-9 * scale
+            and operator_norm(limit @ limit - limit) <= 1e-9 * scale
+        )
+
+    optimal = bool(attaining) and all(c.semisimple for c in attaining)
+    if not attaining:
+        optimal = True  # spectrum is {1}: powers are eventually constant
+
+    return ConvergenceReport(
+        status="convergent" if convergent else "not_convergent",
+        limit=limit,
+        spectral_radius=rho,
+        gamma=gamma,
+        subdominant_clusters=attaining,
+        optimal_rate_attained=optimal if convergent else False,
+        limit_is_orthogonal_projector=is_orth,
+        warnings=tuple(notes),
     )

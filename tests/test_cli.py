@@ -62,6 +62,13 @@ def test_analyze_parse_error_cites_position(tmp_path, capsys):
     assert "row 2, col 2" in capsys.readouterr().err
 
 
+def test_analyze_overflowing_norm_exits_1(tmp_path, capsys):
+    big = tmp_path / "big.mat"
+    write_matrix(big, np.full((2, 2), 1e308))
+    assert main(["analyze", str(big)]) == 1
+    assert "matrix norm overflows" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # angles
 

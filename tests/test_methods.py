@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import map_two_lines_count, squaring_rate, textbook_median
@@ -455,3 +455,51 @@ def test_interior_relaxation_always_solves(seed, mu):
     for kind in ("T", "S", "R"):
         trace = iterate(MethodSpec(kind, mu=mu), geom, x0, eps=0.01, max_iter=5000)
         assert trace.solved, (kind, mu, theta_f)
+
+
+# ---------------------------------------------------------------------------
+# near-nested pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 1),
+    st.integers(0, 2),
+    st.lists(st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)),
+             min_size=5, max_size=5),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_near_nested_pairs_stay_finite(p, extra_q, extra_n, draws, seed):
+    """Angles down to 1e-12 and theta_F -> 0 give no NaN or inf; where every
+    angle falls under zero_tol the pair is nested and the rate needs an
+    angle, which predict_rate and the ':best' parameters refuse by name."""
+    q = p + extra_q
+    angles = sorted(draws[:p])
+    geom = geometry(p + q + extra_n, angles, q=q, seed=seed)
+    assert np.all(np.isfinite(geom.angles))
+    for proj in (geom.P_U, geom.P_V, geom.P_M):
+        assert np.all(np.isfinite(proj))
+    event("nested" if geom.theta_F is None else f"theta_F ~ 1e{math.floor(math.log10(geom.theta_F))}")
+    x0 = np.random.default_rng(seed).standard_normal(geom.ambient_dim)
+    for text in ("MAP", "DR", "T:best", "S:best", "R:best", "BT", "AT"):
+        spec = parse_method(text)
+        if geom.theta_F is None:
+            with pytest.raises(ValueError, match="contained in the other"):
+                predict_rate(spec, geom)
+            if spec.best:
+                with pytest.raises(ValueError, match="contained in the other"):
+                    iterate(spec, geom, x0, eps=1e-6, max_iter=200)
+                continue
+        else:
+            pred = predict_rate(spec, geom)
+            assert math.isfinite(pred.gamma) and math.isfinite(pred.best_rate)
+            assert pred.mu is None or math.isfinite(pred.mu)
+        try:
+            trace = iterate(spec, geom, x0, eps=1e-6, max_iter=200)
+        except DivergenceError:
+            event(f"{spec.kind} diverged")
+            continue  # the documented outcome of a growing orbit
+        assert np.all(np.isfinite(trace.distances))
+        assert np.all(np.isfinite(trace.x_final))
+        assert np.all(np.isfinite(trace.mu_history))

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     assemble,
+    full_classify,
     jordan_block,
+    loop_min_gap,
     nonnormal_upper_example,
     nonnormal_upper_ratio,
     random_orthogonal,
@@ -15,9 +18,13 @@ from oracles import (
     sorted_moduli,
     spectrum_via_charpoly,
     squaring_rate,
+    union_find_groups,
 )
+from projrates import spectral
+from projrates.methods import MethodSpec, build_operator, convergence_interval
 from projrates.spectral import (
     NotConvergentError,
+    SpectralError,
     classify_convergence,
     eigen_structure,
     empirical_rate,
@@ -27,6 +34,7 @@ from projrates.spectral import (
     spectral_projectors,
     subdominant_modulus,
 )
+from projrates.subspaces import canonical_pair, pair_geometry
 
 
 def expanded_spectrum(struct):
@@ -78,6 +86,34 @@ def test_complex_pair_clusters():
         assert c.algebraic_multiplicity == 1
         assert c.semisimple
         assert math.isclose(c.modulus, 0.8, rel_tol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.floats(1e-9, 1e-2))
+def test_clustering_matches_union_find(seed, m, tol):
+    # points on random walks with steps near tol, so that groups chain
+    rng = np.random.default_rng(seed)
+    starts = rng.standard_normal(m) + 1j * rng.standard_normal(m) * (rng.random(m) < 0.5)
+    steps = tol * rng.uniform(0.2, 1.5, m) * np.exp(2j * np.pi * rng.random(m))
+    walk = np.cumsum(steps)
+    values = rng.permutation(np.where(rng.random(m) < 0.7, starts[0] + walk, starts))
+    assert spectral._cluster_indices(values, tol) == union_find_groups(values, tol)
+    reps = [complex(v) for v in values]
+    assert spectral._min_cluster_gap(reps) == loop_min_gap(reps)
+
+
+def test_clustering_rounds_distances_like_scalar_abs():
+    # a pair at distance exactly tol as abs() of one complex scalar rounds
+    # it, where the complex-array np.abs rounds one ulp above tol
+    rng = np.random.default_rng(4)
+    while True:
+        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        if np.abs(np.array([x - y]))[0] > abs(x - y):
+            break
+    values = np.array([x, y])
+    tol = float(abs(x - y))
+    assert spectral._cluster_indices(values, tol) == union_find_groups(values, tol)
+    assert spectral._cluster_indices(values, tol) == [[0, 1]]
 
 
 def test_clustering_merges_nearby_eigenvalues():
@@ -180,6 +216,114 @@ def test_random_contractions_converge_to_zero(seed):
     assert report.status == "convergent"
     np.testing.assert_allclose(report.limit, np.zeros((4, 4)))
     assert report.gamma <= 0.95 + 1e-9
+
+
+def test_overflowing_norm_is_named():
+    a = np.full((2, 2), 1e308)
+    for fn in (classify_convergence, eigen_structure):
+        with pytest.raises(ValueError, match="matrix norm overflows"):
+            fn(a)
+
+
+# ---------------------------------------------------------------------------
+# Jordan indices resolved on demand, against the fully resolved oracle
+
+
+def planted_matrix(rng):
+    """Jordan, rotation-scaling and diagonal blocks at values that repeat,
+    under a random orthogonal similarity."""
+    blocks = []
+    for _ in range(int(rng.integers(1, 5))):
+        value = float(rng.choice([1.0, 0.9, -0.9, 0.5, rng.uniform(-1.2, 1.2)]))
+        shape = int(rng.integers(0, 3))
+        if shape == 0:
+            blocks.append(jordan_block(value, int(rng.integers(1, 5))))
+        elif shape == 1:
+            blocks.append(rotation_scaling_block(abs(value), float(rng.uniform(0.1, 3.0))))
+        else:
+            blocks.append(np.diag([value] * int(rng.integers(1, 3))))
+    return assemble(blocks, rng)
+
+
+def pair_operator(rng):
+    """Iteration matrix of T/S/R/DR on a pair at n <= 40, with mu inside or
+    outside the convergence interval."""
+    n = int(rng.integers(4, 41))
+    p = int(rng.integers(1, n // 2 + 1))
+    q = int(rng.integers(p, n - p + 1))
+    angles = np.sort(rng.uniform(0.05, np.pi / 2, p))
+    angles[: int(rng.integers(0, p))] = 0.0
+    geom = pair_geometry(*canonical_pair(n, angles, q, seed=rng))
+    kind = str(rng.choice(["T", "S", "R", "DR"]))
+    if kind == "DR":
+        return build_operator(MethodSpec("DR"), geom)
+    _, hi = convergence_interval(kind, geom)
+    scale = rng.uniform(0.05, 0.95) if rng.random() < 0.6 else rng.uniform(1.02, 1.5)
+    return build_operator(MethodSpec(kind, mu=hi * float(scale)), geom)
+
+
+def random_contraction(rng):
+    n = int(rng.integers(1, 41))
+    a = rng.standard_normal((n, n))
+    return a * rng.uniform(0.3, 0.99) / max(1e-12, max(abs(np.linalg.eigvals(a))))
+
+
+MATRIX_FAMILIES = {
+    "planted": planted_matrix,
+    "pair operator": pair_operator,
+    "contraction": random_contraction,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(MATRIX_FAMILIES)), st.integers(0, 2 ** 32 - 1))
+def test_classify_matches_fully_resolved_oracle(family, seed):
+    a = MATRIX_FAMILIES[family](np.random.default_rng(seed))
+    try:
+        expected = full_classify(a)
+    except SpectralError:
+        # the oracle's rank test failed on some cluster; classify_convergence
+        # resolves fewer clusters, so it may report where the oracle raises
+        try:
+            classify_convergence(a)
+        except SpectralError:
+            event("both raise SpectralError")
+        else:
+            event("oracle raises SpectralError, classify_convergence reports")
+        return
+    report = classify_convergence(a)
+    assert json.dumps(report_to_dict(report)) == json.dumps(report_to_dict(expected))
+    if expected.limit is not None:
+        assert report.limit.tobytes() == expected.limit.tobytes()
+
+
+def test_defective_complex_pair_shares_its_index():
+    rng = np.random.default_rng(8)
+    r = rotation_scaling_block(0.8, 0.5)
+    pair = np.block([[r, np.eye(2)], [np.zeros((2, 2)), r]])  # real Jordan form
+    report = classify_convergence(assemble([jordan_block(1.0, 1), pair, np.diag([0.3])], rng))
+    assert report.status == "convergent"
+    assert [(c.algebraic_multiplicity, c.index) for c in report.subdominant_clusters] == [(2, 2)] * 2
+    assert not report.optimal_rate_attained
+
+
+def test_classify_resolves_only_the_reported_clusters(monkeypatch):
+    rng = np.random.default_rng(30)
+    q = random_orthogonal(30, rng)
+    a = q @ np.diag(np.linspace(1.0, -0.9, 30)) @ q.T  # 30 simple eigenvalues
+    resolved = []
+    resolve = spectral._cluster_index
+
+    def counting(*args):
+        resolved.append(args[1])
+        return resolve(*args)
+
+    monkeypatch.setattr(spectral, "_cluster_index", counting)
+    assert classify_convergence(a).status == "convergent"
+    assert len(resolved) <= 2
+    resolved.clear()
+    eigen_structure(a)
+    assert len(resolved) == 30
 
 
 # ---------------------------------------------------------------------------
