@@ -141,9 +141,8 @@ def _cluster_index(a: np.ndarray, value: complex, mult: int, rank_tol: float) ->
     smax = operator_norm(b)
     if smax == 0.0:
         return 1  # A is value*I
-    bk = np.eye(n, dtype=complex)
     for k in range(1, mult + 1):
-        bk = bk @ b
+        bk = b if k == 1 else bk @ b
         # threshold at the natural scale of the k-th power; rounding noise in
         # B^k sits near eps * ||B||^k, not near eps * sigma_max(B^k)
         r = _numerical_rank(bk, rank_tol * smax**k)

@@ -165,8 +165,8 @@ class PrincipalFrame:
     What is left of a point splits into its part in V ∩ U-perp (P_U = 0,
     P_V = 1) and its remainder in (U + V)-perp (P_U = P_V = 0).
 
-    u_k and v_k come from the SVD of Q_U^T Q_V that ``pair_geometry`` already
-    factors for P_M, so U ∩ V here is exactly the range of P_M.  There
+    u_k and v_k come from ``PairGeometry.uv_svd``, the SVD that also gives
+    P_M, so U ∩ V here is exactly the range of P_M.  There
     w_k = (v_k - c u_k) / s is exact to about EPS / s^2, which is enough for
     sin(theta_k) >= 1/8.  The planes of smaller angles are re-paired, and
     their w_k stored, as ``PairGeometry.frame`` describes.  No n x n or
@@ -218,8 +218,9 @@ class PairGeometry:
     Conventions: ``U`` is the smaller subspace (inputs are swapped if
     needed), both are proper and nontrivial, and ``angles`` are the
     ``p = dim U`` principal angles in ascending order.  ``theta_F`` is None
-    exactly when U is contained in V.  ``P_M`` projects onto the
-    intersection (the zero matrix when the intersection is trivial).
+    exactly when U is contained in V.  The bases and the angles are the whole
+    pair: the projectors ``P_U``, ``P_V`` and ``P_M`` (onto the intersection,
+    the zero matrix when it is trivial) are built from them on first use.
     """
 
     U: Subspace
@@ -228,9 +229,6 @@ class PairGeometry:
     s: int
     theta_F: float | None
     theta_p: float
-    P_U: np.ndarray
-    P_V: np.ndarray
-    P_M: np.ndarray
 
     @property
     def p(self) -> int:
@@ -245,15 +243,28 @@ class PairGeometry:
         return self.U.ambient_dim
 
     @cached_property
+    def P_U(self) -> np.ndarray:
+        return projector(self.U)
+
+    @cached_property
+    def P_V(self) -> np.ndarray:
+        return projector(self.V)
+
+    @cached_property
+    def P_M(self) -> np.ndarray:
+        # the first s principal directions of U span U intersect V
+        return projector(Subspace(self.U.basis @ self.uv_svd[0][:, : self.s]))
+
+    @cached_property
     def uv_svd(self) -> tuple:
-        """SVD (left, cosines, right^T) of Q_U^T Q_V.  ``pair_geometry``
-        stores the one it computes for P_M."""
+        """SVD (left, cosines, right^T) of Q_U^T Q_V, shared by P_M and
+        ``frame``."""
         return tuple(np.linalg.svd(self.U.basis.T @ self.V.basis))
 
     @cached_property
     def frame(self) -> PrincipalFrame:
-        """The pair's principal coordinates, built on first use from the
-        stored SVD of Q_U^T Q_V.
+        """The pair's principal coordinates, built on first use from
+        ``uv_svd``.
 
         Where sin(theta) < 1/8 the cosines cluster near 1, and that SVD pairs
         u_k with v_k too loosely.  Those planes are re-paired from the SVD of
@@ -289,27 +300,15 @@ class PairGeometry:
 
 def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:
     """Measure a pair of subspaces into a PairGeometry."""
+    if not 0.0 <= zero_tol < np.inf:
+        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
     _check_pair(u, v)
     if u.dim > v.dim:
         u, v = v, u
     angles = principal_angles(u, v)
     s = int(np.count_nonzero(angles <= zero_tol))
     theta_f = float(angles[s]) if s < len(angles) else None
-    uv_svd = tuple(np.linalg.svd(u.basis.T @ v.basis))
-    geom = PairGeometry(
-        U=u,
-        V=v,
-        angles=angles,
-        s=s,
-        theta_F=theta_f,
-        theta_p=float(angles[-1]),
-        P_U=projector(u),
-        P_V=projector(v),
-        # the first s principal directions of U span U intersect V
-        P_M=projector(Subspace(u.basis @ uv_svd[0][:, :s])),
-    )
-    geom.__dict__["uv_svd"] = uv_svd  # fills the cached property
-    return geom
+    return PairGeometry(U=u, V=v, angles=angles, s=s, theta_F=theta_f, theta_p=float(angles[-1]))
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -376,20 +375,17 @@ def geometry_to_dict(geom: PairGeometry) -> dict:
         "s": geom.s,
         "theta_F": geom.theta_F,
         "theta_p": geom.theta_p,
-        "P_U": geom.P_U.tolist(),
-        "P_V": geom.P_V.tolist(),
-        "P_M": geom.P_M.tolist(),
+        "U": geom.U.basis.tolist(),
+        "V": geom.V.basis.tolist(),
     }
 
 
 def geometry_from_dict(d: dict) -> PairGeometry:
-    p_u = np.asarray(d["P_U"], dtype=float)
-    p_v = np.asarray(d["P_V"], dtype=float)
-    p_m = np.asarray(d["P_M"], dtype=float)
-    u = subspace_from_spanning(p_u)
-    v = subspace_from_spanning(p_v)
+    u = Subspace(np.asarray(d["U"], dtype=float))
+    v = Subspace(np.asarray(d["V"], dtype=float))
     if u.dim != int(d["p"]) or v.dim != int(d["q"]):
-        raise ValueError("projector ranks disagree with the stored dimensions")
+        raise ValueError("basis widths disagree with the stored dimensions")
+    _check_pair(u, v)
     return PairGeometry(
         U=u,
         V=v,
@@ -397,7 +393,4 @@ def geometry_from_dict(d: dict) -> PairGeometry:
         s=int(d["s"]),
         theta_F=None if d["theta_F"] is None else float(d["theta_F"]),
         theta_p=float(d["theta_p"]),
-        P_U=p_u,
-        P_V=p_v,
-        P_M=p_m,
     )

@@ -51,15 +51,16 @@ def _orthonormal_columns(q: np.ndarray) -> np.ndarray:
 
 
 def extended_geometry(geom: PairGeometry) -> PairGeometry:
-    """The pair with P_U and P_V in long double (64-bit significand on x86),
-    from its bases re-orthonormalized in that precision; P_M as stored.
-    ``dense_iterate`` on it runs the dense loop with about 2000 times less
-    round-off."""
+    """A copy of the pair whose P_U and P_V are in long double (64-bit
+    significand on x86), from its bases re-orthonormalized in that
+    precision, and whose P_M is the pair's own.  ``dense_iterate`` on it
+    runs the dense loop with about 2000 times less round-off."""
     qu = _orthonormal_columns(geom.U.basis.astype(np.longdouble))
     qv = _orthonormal_columns(geom.V.basis.astype(np.longdouble))
-    return dataclasses.replace(
-        geom, P_U=qu @ qu.T, P_V=qv @ qv.T, P_M=geom.P_M.astype(np.longdouble)
-    )
+    ext = dataclasses.replace(geom)
+    # fill the cached projector properties of the copy
+    ext.__dict__.update(P_U=qu @ qu.T, P_V=qv @ qv.T, P_M=geom.P_M.astype(np.longdouble))
+    return ext
 
 
 # ---------------------------------------------------------------------------

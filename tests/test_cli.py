@@ -88,6 +88,13 @@ def test_angles_json_round_trips(files, capsys):
     assert math.isclose(geom.theta_F, 0.7, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("zero_tol", ["nan", "-1", "inf"])
+def test_angles_bad_zero_tol_exits_1(files, capsys, zero_tol):
+    _, _, _, u_file, v_file = files
+    assert main(["angles", str(u_file), str(v_file), "--zero-tol", zero_tol]) == 1
+    assert "zero_tol" in capsys.readouterr().err
+
+
 def test_angles_dimension_mismatch(files, tmp_path, capsys):
     _, _, _, u_file, _ = files
     other = tmp_path / "u3.mat"
@@ -167,6 +174,19 @@ def test_solve_nan_x0_names_position(files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "row 1, col 1" in captured.err and "non-finite entry 'nan'" in captured.err
     assert "final distance" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--zero-tol", "nan", "zero_tol"), ("--zero-tol", "-1", "zero_tol"),
+     ("--eps", "nan", "eps"), ("--eps", "-0.5", "eps"), ("--max-iter", "-5", "max_iter")],
+)
+def test_solve_bad_tolerance_exits_1(files, capsys, flag, value, name):
+    _, _, _, u_file, v_file = files
+    assert main(["solve", str(u_file), str(v_file), "--method", "MAP", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert "predicted gamma" not in captured.out
 
 
 def test_solve_boundary_mu_warns_and_exits_3(files, capsys):

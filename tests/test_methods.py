@@ -298,6 +298,23 @@ def test_iterate_rejects_wrong_dimension(geom_937):
         iterate(MethodSpec("MAP"), geom_937, np.ones(5))
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"eps": math.nan}, "eps"), ({"eps": -1e-3}, "eps"), ({"max_iter": -5}, "max_iter")],
+)
+def test_iterate_rejects_bad_stopping_rule(geom_937, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        iterate(MethodSpec("MAP"), geom_937, np.ones(9), **kwargs)
+
+
+def test_iterate_builds_no_dense_projector():
+    geom = geometry(30, [0.0, 1e-3, 0.5, 1.2], q=6, seed=4)
+    x0 = np.random.default_rng(4).standard_normal(30)
+    for method in ("T:best", "S:best", "R:best", "MAP", "DR", "BT", "AT"):
+        iterate(parse_method(method), geom, x0, eps=1e-8)
+    assert not {"P_U", "P_V", "P_M"} & set(geom.__dict__)
+
+
 def test_linear_methods_reach_predicted_limit(geom_937):
     rng = np.random.default_rng(4)
     x0 = rng.standard_normal(9) * 10

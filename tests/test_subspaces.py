@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import distance_to_span, projector_via_normal_equations, scipy_angles
+from projrates.methods import iterate, parse_method
 from projrates.subspaces import (
     Subspace,
     canonical_pair,
@@ -236,10 +238,19 @@ def test_pair_geometry_three_svds_and_same_intersection_bits(monkeypatch, n, ang
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     geoms = [pair_geometry(u, v), pair_geometry(v, u)]
-    assert len(calls) == 6  # cosines, sines, principal directions per pair
+    assert len(calls) == 4  # cosines and sines per pair
+    p_ms = [geom.P_M for geom in geoms]
+    assert len(calls) == 6  # plus the principal directions, once per pair
     monkeypatch.undo()
-    for geom, (a, b) in zip(geoms, [(u, v), (v, u)]):
-        np.testing.assert_array_equal(geom.P_M, projector(intersection(a, b)))
+    for p_m, (a, b) in zip(p_ms, [(u, v), (v, u)]):
+        np.testing.assert_array_equal(p_m, projector(intersection(a, b)))
+
+
+@pytest.mark.parametrize("zero_tol", [math.nan, -1.0, math.inf])
+def test_pair_geometry_rejects_bad_zero_tol(zero_tol):
+    u, v = canonical_pair(6, [0.0, 0.5], seed=19)
+    with pytest.raises(ValueError, match="zero_tol"):
+        pair_geometry(u, v, zero_tol=zero_tol)
 
 
 def test_norm_identities_of_measured_pair():
@@ -267,14 +278,34 @@ def test_friedrichs_angle_invariant_under_complements():
 def test_geometry_dict_round_trip():
     u, v = canonical_pair(7, [0.0, 0.6], q=3, seed=18)
     geom = pair_geometry(u, v)
-    back = geometry_from_dict(geometry_to_dict(geom))
+    back = geometry_from_dict(json.loads(json.dumps(geometry_to_dict(geom))))
     assert back.s == geom.s
     assert back.theta_F == geom.theta_F
     assert back.theta_p == geom.theta_p
     np.testing.assert_array_equal(back.angles, geom.angles)
+    np.testing.assert_array_equal(back.U.basis, geom.U.basis)
+    np.testing.assert_array_equal(back.V.basis, geom.V.basis)
     np.testing.assert_array_equal(back.P_U, geom.P_U)
     np.testing.assert_array_equal(back.P_V, geom.P_V)
     np.testing.assert_array_equal(back.P_M, geom.P_M)
+    x0 = np.random.default_rng(18).standard_normal(7)
+    for method in ("MAP", "R:best", "BT"):
+        spec = parse_method(method)
+        np.testing.assert_array_equal(
+            iterate(spec, back, x0, eps=1e-10).distances,
+            iterate(spec, geom, x0, eps=1e-10).distances,
+        )
+
+
+def test_geometry_from_dict_rejects_bad_bases():
+    u, v = canonical_pair(7, [0.0, 0.6], q=3, seed=18)
+    d = geometry_to_dict(pair_geometry(u, v))
+    with pytest.raises(ValueError, match="disagree with the stored dimensions"):
+        geometry_from_dict({**d, "q": 2})
+    with pytest.raises(ValueError, match="not orthonormal"):
+        geometry_from_dict({**d, "U": (2.0 * u.basis).tolist()})
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        geometry_from_dict({**d, "V": np.eye(6)[:, :3].tolist()})
 
 
 @settings(max_examples=30, deadline=None)
