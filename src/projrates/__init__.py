@@ -35,7 +35,6 @@ from .methods import (
     IterationTrace,
     MethodSpec,
     RatePrediction,
-    adaptive_step,
     best_parameter,
     build_operator,
     convergence_interval,
@@ -93,7 +92,6 @@ __all__ = [
     "PairGeometry",
     "RatePrediction",
     "Subspace",
-    "adaptive_step",
     "best_parameter",
     "build_operator",
     "canonical_pair",

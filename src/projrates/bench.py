@@ -170,6 +170,8 @@ def start_vector(ambient_dim: int, seed: int, norm: float = 10.0) -> np.ndarray:
     instance can be replayed exactly: rebuild the pair with ``sample_pair``
     and the start with this function.
     """
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"start norm must be finite and > 0, got {norm!r}")
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(ambient_dim)
     x0 *= norm / np.linalg.norm(x0)

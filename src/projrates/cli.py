@@ -104,7 +104,15 @@ def cmd_angles(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_solve(args) -> int:
+    _check_seed(args.seed)
+    if not 0.0 < args.x0_norm < math.inf:
+        raise ValueError(f"--x0-norm must be finite and > 0, got {args.x0_norm!r}")
     geom = _load_geometry(args.u_file, args.v_file, args.zero_tol)
     spec = parse_method(args.method)
     prediction = predict_rate(spec, geom)
@@ -183,6 +191,7 @@ def _bin_stats(table) -> dict:
 
 
 def cmd_bench(args) -> int:
+    _check_seed(args.seed)
     if args.config:
         with open(args.config) as fh:
             grid = CategoryGrid.from_dict(json.load(fh))

@@ -33,6 +33,8 @@ KINDS = RELAXED_KINDS + FIXED_KINDS
 
 #: kinds whose monitored sequence is the P_V shadow of the orbit
 SHADOW_KINDS = ("R", "DR")
+#: the relaxed family each fixed linear kind is the mu = 1 member of
+_RELAXED_OF = {"MAP": "T", "DR": "R"}
 
 
 class DivergenceError(RuntimeError):
@@ -63,6 +65,8 @@ class MethodSpec:
                 raise ValueError(
                     f"{self.kind} needs exactly one of a numeric mu or 'best'"
                 )
+            if self.mu is not None and not math.isfinite(self.mu):
+                raise ValueError(f"{self.kind} needs a finite mu, got mu={self.mu!r}")
         elif self.mu is not None or self.best:
             raise ValueError(f"{self.kind} does not take a relaxation parameter")
 
@@ -203,13 +207,23 @@ def build_operator(spec: MethodSpec, geom: PairGeometry) -> np.ndarray:
     return (1.0 - mu) * eye + mu * dr
 
 
-def limit_projector(spec: MethodSpec, geom: PairGeometry) -> np.ndarray:
-    """Limit of the scheme's matrix powers on its convergence interval.
+def limit_projector(spec: MethodSpec, geom: PairGeometry) -> np.ndarray | None:
+    """Limit of the scheme's matrix powers, None where they do not converge.
 
-    T and S converge to the intersection projector; R and DR fix the
-    larger space (U ∩ V) + (U-perp ∩ V-perp), and it is their P_V shadow
-    that lands on the intersection.
+    Inside the convergence interval T and S converge to the intersection
+    projector; R and DR fix the larger space (U ∩ V) + (U-perp ∩ V-perp),
+    and it is their P_V shadow that lands on the intersection.  At mu = 0
+    the map is the identity (P_U for S).
     """
+    if spec.kind in ("BT", "AT"):
+        return geom.P_M
+    base_kind = _RELAXED_OF.get(spec.kind, spec.kind)
+    mu = resolve_mu(spec, geom)
+    lo, hi = convergence_interval(base_kind, geom)
+    if not lo <= mu < hi:
+        return None
+    if mu == 0.0:
+        return geom.P_U.copy() if base_kind == "S" else np.eye(geom.ambient_dim)
     if spec.kind in SHADOW_KINDS:
         return geom.P_M + perp_intersection_projector(geom)
     return geom.P_M
@@ -217,7 +231,8 @@ def limit_projector(spec: MethodSpec, geom: PairGeometry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RatePrediction:
-    """Closed-form convergence facts for one method on one pair."""
+    """Closed-form convergence facts for one method on one pair; the limit
+    is ``limit_projector``."""
 
     method: str
     mu: float | None
@@ -226,23 +241,10 @@ class RatePrediction:
     solves: bool  # monitored sequence reaches the intersection projection
     best_mu: float | None
     best_rate: float
-    limit: np.ndarray | None = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "convergent": self.convergent,
-            "solves": self.solves,
-            "best_mu": self.best_mu,
-            "best_rate": self.best_rate,
-            "limit": None if self.limit is None else self.limit.tolist(),
-        }
 
 
 def predict_rate(spec: MethodSpec, geom: PairGeometry) -> RatePrediction:
-    """Predicted rate, convergence verdict, and limit for a method on a pair."""
+    """Predicted rate and convergence verdict for a method on a pair."""
     _require_angle(geom)
     best_mu, best_rate = best_parameter(spec.kind, geom)
     if spec.kind in ("BT", "AT"):
@@ -254,58 +256,23 @@ def predict_rate(spec: MethodSpec, geom: PairGeometry) -> RatePrediction:
             solves=True,
             best_mu=best_mu,
             best_rate=best_rate,
-            limit=geom.P_M,
         )
-    base_kind = {"MAP": "T", "DR": "R"}.get(spec.kind, spec.kind)
+    base_kind = _RELAXED_OF.get(spec.kind, spec.kind)
     mu = resolve_mu(spec, geom)
-    gamma = _subdominant_modulus(base_kind, mu, geom)
     lo, hi = convergence_interval(base_kind, geom)
-    convergent = lo <= mu < hi
-    solves = lo < mu < hi
-    if not convergent:
-        limit = None
-    elif mu == 0.0:
-        limit = geom.P_U.copy() if base_kind == "S" else np.eye(geom.ambient_dim)
-    else:
-        limit = limit_projector(spec, geom)
     return RatePrediction(
         method=spec.label,
         mu=mu,
-        gamma=gamma,
-        convergent=convergent,
-        solves=solves,
+        gamma=_subdominant_modulus(base_kind, mu, geom),
+        convergent=lo <= mu < hi,
+        solves=lo < mu < hi,
         best_mu=best_mu,
         best_rate=best_rate,
-        limit=limit,
     )
 
 
 # ---------------------------------------------------------------------------
 # iteration
-
-
-def adaptive_step(spec: MethodSpec, geom: PairGeometry, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """One BT or AT step: move along the scheme's line to the point nearest
-    the intersection.
-
-    The search direction w is orthogonal to U ∩ V, so the minimizing step
-    is <w, x>/||w||^2 even though the intersection is unknown.  When w
-    vanishes the iterate is already optimal on its line and the plain
-    mu = 1 step is taken.
-    """
-    puv = geom.P_U @ (geom.P_V @ x)
-    if spec.kind == "BT":
-        w = geom.P_U @ x - puv
-    elif spec.kind == "AT":
-        w = x - puv
-    else:
-        raise ValueError(f"{spec.kind} is not an adaptive method")
-    ww = float(w @ w)
-    if ww <= (1e-14 * float(np.linalg.norm(x))) ** 2 or ww == 0.0:
-        return puv, 1.0
-    mu = float(w @ x) / ww
-    base = geom.P_U @ x if spec.kind == "BT" else x
-    return base - mu * w, mu
 
 
 @dataclass(frozen=True)
@@ -366,7 +333,7 @@ def iterate(
         raise ValueError(f"x0 has dimension {x.size}, expected {geom.ambient_dim}")
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise ValueError(f"x0 has a non-finite entry {x[bad]!r} at index {bad}")
+        raise ValueError(f"x0 has a non-finite entry {float(x[bad])} at index {bad}")
     mu = resolve_mu(spec, geom)
     frame = geom.frame
     parts = frame.split(x)
@@ -460,7 +427,7 @@ def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
     along_u, along_w, in_extra, rest = parts
     s, c, sn = frame.s, frame.cos, frame.sin
     e_norm, r_norm = math.sqrt(in_extra @ in_extra), math.sqrt(rest @ rest)
-    kind = {"MAP": "T", "DR": "R"}.get(spec.kind, spec.kind)
+    kind = _RELAXED_OF.get(spec.kind, spec.kind)
     rows = c.size + 1
     block = np.zeros((rows, 2, 2))
     block[:-1, 0, 0] = 1.0 - mu * sn * sn
@@ -513,9 +480,9 @@ def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
 
 
 def _adaptive_orbit(spec, frame, parts, eps, max_iter):
-    """BT and AT in principal coordinates: the line-search step of
-    ``adaptive_step`` on the (u_k, w_k) coordinates (a, b) of each plane and
-    on the norm of the rest.
+    """BT and AT in principal coordinates: the exact line-search step, to
+    the point of the scheme's line nearest U ∩ V, on the (u_k, w_k)
+    coordinates (a, b) of each plane and on the norm of the rest.
 
     In plane k the search direction of BT, P_U x - P_U P_V x, has u_k
     coordinate s (s a - c b) and no w_k part; AT's, x - P_U P_V x, adds the

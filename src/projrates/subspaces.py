@@ -131,25 +131,15 @@ def friedrichs(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> tuple[int, f
     (radians) and ``theta_F`` is the first larger angle, or None when every
     angle is zero (one subspace contained in the other).
     """
-    angles = principal_angles(u, v)
-    s = int(np.count_nonzero(angles <= zero_tol))
-    theta_f = float(angles[s]) if s < len(angles) else None
-    return s, theta_f
+    geom = pair_geometry(u, v, zero_tol)
+    return geom.s, geom.theta_F
 
 
 def intersection(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> Subspace:
-    """The subspace U intersect V (possibly zero-dimensional).
-
-    Spanned by the principal directions of the smaller space whose angle
-    to the other space is at most ``zero_tol``.
-    """
-    _check_pair(u, v)
-    qu, qv = u.basis, v.basis
-    if qu.shape[1] > qv.shape[1]:
-        qu, qv = qv, qu
-    s, _ = friedrichs(u, v, zero_tol)
-    left, _, _ = np.linalg.svd(qu.T @ qv)
-    return Subspace(qu @ left[:, :s])
+    """The subspace U intersect V (possibly zero-dimensional): ``M`` of the
+    measured pair, the principal vectors of the smaller space whose angle to
+    the other space is at most ``zero_tol``."""
+    return pair_geometry(u, v, zero_tol).M
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +155,13 @@ class PrincipalFrame:
     What is left of a point splits into its part in V ∩ U-perp (P_U = 0,
     P_V = 1) and its remainder in (U + V)-perp (P_U = P_V = 0).
 
-    u_k and v_k come from ``PairGeometry.uv_svd``, the SVD that also gives
-    P_M, so U ∩ V here is exactly the range of P_M.  There
+    U ∩ V is decided here and nowhere else: ``PairGeometry.M`` is read from
+    the first s columns of ``qu @ left``, so U ∩ V is exactly the range of
+    P_M.  u_k and v_k come from the SVD of Q_U^T Q_V, where
     w_k = (v_k - c u_k) / s is exact to about EPS / s^2, which is enough for
-    sin(theta_k) >= 1/8.  The planes of smaller angles are re-paired, and
-    their w_k stored, as ``PairGeometry.frame`` describes.  No n x n or
-    n x K matrix is formed for the others.
+    sin(theta_k) >= 1/8.  The planes of smaller angles and U ∩ V are
+    re-paired, and those planes' w_k stored, as ``PairGeometry.frame``
+    describes.  No n x n or n x K matrix is formed for the others.
     """
 
     s: int
@@ -219,8 +210,9 @@ class PairGeometry:
     needed), both are proper and nontrivial, and ``angles`` are the
     ``p = dim U`` principal angles in ascending order.  ``theta_F`` is None
     exactly when U is contained in V.  The bases and the angles are the whole
-    pair: the projectors ``P_U``, ``P_V`` and ``P_M`` (onto the intersection,
-    the zero matrix when it is trivial) are built from them on first use.
+    pair: ``frame``, the intersection ``M`` it decides, and the projectors
+    ``P_U``, ``P_V`` and ``P_M`` (onto ``M``, the zero matrix when it is
+    trivial) are built from them on first use.
     """
 
     U: Subspace
@@ -251,33 +243,36 @@ class PairGeometry:
         return projector(self.V)
 
     @cached_property
-    def P_M(self) -> np.ndarray:
-        # the first s principal directions of U span U intersect V
-        return projector(Subspace(self.U.basis @ self.uv_svd[0][:, : self.s]))
+    def M(self) -> Subspace:
+        """U ∩ V: the first s principal vectors of U in ``frame``."""
+        return Subspace(self.U.basis @ self.frame.left[:, : self.s])
 
     @cached_property
-    def uv_svd(self) -> tuple:
-        """SVD (left, cosines, right^T) of Q_U^T Q_V, shared by P_M and
-        ``frame``."""
-        return tuple(np.linalg.svd(self.U.basis.T @ self.V.basis))
+    def P_M(self) -> np.ndarray:
+        return projector(self.M)
 
     @cached_property
     def frame(self) -> PrincipalFrame:
-        """The pair's principal coordinates, built on first use from
-        ``uv_svd``.
+        """The pair's principal coordinates, built on first use from the SVD
+        of Q_U^T Q_V.
 
         Where sin(theta) < 1/8 the cosines cluster near 1, and that SVD pairs
-        u_k with v_k too loosely.  Those planes are re-paired from the SVD of
-        the U-perp parts of their v_k (n x k for k such angles), as
-        ``principal_angles`` measures small angles from the sines.
+        u_k with v_k too loosely; next to such an angle it also tilts U ∩ V,
+        since it cannot tell cos 0 from cos theta_F.  So when k nonzero angles
+        have sin(theta) < 1/8, the whole cluster, the s zero angles and those
+        k, is re-paired from the SVD of the U-perp parts of its v's (n x
+        (s + k)), as ``principal_angles`` measures small angles from the
+        sines: the s directions of zero sine span U ∩ V, the next k give the
+        w_k.
         """
         qu, qv = self.U.basis, self.V.basis
-        left, _, right_t = self.uv_svd
+        left, _, right_t = np.linalg.svd(qu.T @ qv)
         p, s = self.p, self.s
         nonzero = self.angles[s:]
         k = int(np.count_nonzero(np.sin(nonzero) < 0.125))
+        r = s + k if k else 0  # the re-paired cluster
         v_rows, extra = right_t[s + k : p], right_t[p:]
-        w = qv @ right_t[s : s + k].T
+        w = qv @ right_t[:r].T
         for _ in range(2):  # the U-perp parts, orthogonal to U to working precision
             w -= qu @ (qu.T @ w)
         if k:
@@ -289,9 +284,8 @@ class PairGeometry:
             w -= qv @ (v_rows.T @ t + extra.T @ (extra @ in_v))
             w += qu @ (left[:, s + k :] @ (np.cos(nonzero[k:])[:, None] * t))
             y, _, zt = np.linalg.svd(w, full_matrices=False)
-            w, z = y[:, ::-1], zt[::-1].T  # ascending sines, like the angles
-            left = left.copy()
-            left[:, s : s + k] = left[:, s : s + k] @ z
+            w, z = y[:, ::-1][:, s:], zt[::-1].T  # ascending sines, like the angles
+            left[:, :r] = left[:, :r] @ z
         return PrincipalFrame(
             s=s, qu=qu, left=left, qv=qv, v_rows=v_rows, extra=extra, w=w,
             cos=np.cos(nonzero), sin=np.sin(nonzero),

@@ -127,6 +127,12 @@ def test_start_vector_seeded_and_scaled():
     np.testing.assert_array_equal(x, start_vector(10, 1234, norm=10.0))
 
 
+@pytest.mark.parametrize("norm", [0.0, -1.0, math.nan, math.inf])
+def test_start_vector_rejects_bad_norm(norm):
+    with pytest.raises(ValueError, match="norm"):
+        start_vector(5, 0, norm)
+
+
 # ---------------------------------------------------------------------------
 # running
 

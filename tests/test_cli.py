@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import projrates.cli
+import projrates.methods
 from projrates.cli import main
 from projrates.matio import write_matrix
 from projrates.spectral import report_from_dict
-from projrates.subspaces import canonical_pair, geometry_from_dict
+from projrates.subspaces import canonical_pair, geometry_from_dict, pair_geometry
 
 
 @pytest.fixture()
@@ -216,6 +218,60 @@ def test_solve_nested_pair_is_input_error(tmp_path, capsys):
     write_matrix(b, np.eye(4)[:, :2])
     assert main(["solve", str(a), str(b), "--method", "MAP"]) == 1
     assert "contained in the other" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, mu", [("T:nan", "nan"), ("S:inf", "inf")])
+def test_solve_non_finite_mu_exits_1(files, capsys, method, mu):
+    _, _, _, u_file, v_file = files
+    assert main(["solve", str(u_file), str(v_file), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert f"mu={mu}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_solve_bad_x0_norm_exits_1(files, capsys, value):
+    _, _, _, u_file, v_file = files
+    assert main(["solve", str(u_file), str(v_file), "--method", "MAP",
+                 "--x0-norm", value]) == 1
+    captured = capsys.readouterr()
+    assert "--x0-norm" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_negative_seed_names_flag(files, tmp_path, capsys, command):
+    _, _, _, u_file, v_file = files
+    argv = {"solve": ["solve", str(u_file), str(v_file), "--method", "MAP"],
+            "bench": ["bench", "--out", str(tmp_path / "x")]}[command]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_solve_builds_no_dense_matrix(tmp_path, capsys, monkeypatch):
+    u, v = canonical_pair(120, [0.0, 0.1, 0.5, 1.2], q=8, seed=6)
+    u_file, v_file = tmp_path / "u.mat", tmp_path / "v.mat"
+    write_matrix(u_file, u.basis)
+    write_matrix(v_file, v.basis)
+    geoms = []
+
+    def measured(*args, **kwargs):
+        geoms.append(pair_geometry(*args, **kwargs))
+        return geoms[-1]
+
+    def refuse(*args):
+        raise AssertionError("solve built the projector onto (U + V)-perp")
+
+    monkeypatch.setattr(projrates.cli, "pair_geometry", measured)
+    monkeypatch.setattr(projrates.methods, "perp_intersection_projector", refuse)
+    for method in ("MAP", "T:best", "S:best", "R:best", "DR", "BT", "AT"):
+        assert main(["solve", str(u_file), str(v_file), "--method", method,
+                     "--eps", "1e-8"]) == 0, method
+    capsys.readouterr()
+    assert len(geoms) == 7
+    for geom in geoms:
+        assert not {"P_U", "P_V", "P_M", "M"} & set(geom.__dict__)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 import projrates.methods
 from projrates.methods import DivergenceError, MethodSpec, iterate
-from projrates.subspaces import EPS, canonical_pair, pair_geometry
+from projrates.subspaces import EPS, canonical_pair, haar_orthogonal, pair_geometry
 
 KINDS = ("T", "S", "R", "MAP", "DR", "BT", "AT")
 
@@ -93,15 +93,14 @@ def test_engine_matches_dense_oracle(case):
     mu only to |mu| (|x| / h)^2 units, and h is at least the change of
     distance.
 
-    Left out are runs whose count is not defined to that precision (a
+    Left out are runs whose count is not defined to that precision: a
     distance within tolerance of eps, or a divergence whose growth is not
-    known to 1e-6), and pairs where the oracle's P_M, from the SVD of
-    Q_U^T Q_V, leaves V by more than round-off: a tiny angle next to the
-    intersection blurs that SVD's cluster of cosines near 1.
+    known to 1e-6.  Pairs with a tiny angle next to the intersection are
+    kept: the frame, which both sides read P_M from, re-pairs U ∩ V with
+    that angle's plane.
     """
     spec, geom, x0, eps, max_iter = case
     leak = np.linalg.norm(geom.P_V @ geom.P_M - geom.P_M)
-    assume(leak <= 1e-12)
     mu = projrates.methods.resolve_mu(spec, geom)
     unit = 100 * (EPS + leak)
     if mu is None:  # BT, AT
@@ -157,8 +156,22 @@ def test_non_finite_start_rejected(bad):
     geom = pair_geometry(*canonical_pair(6, [0.0, 0.5], seed=1))
     x0 = np.ones(6)
     x0[4] = bad
-    with pytest.raises(ValueError, match="non-finite entry .* at index 4"):
+    with pytest.raises(ValueError, match=f"non-finite entry {bad} at index 4"):
         iterate(MethodSpec("MAP"), geom, x0)
+
+
+def test_distance_is_to_the_constructed_intersection_next_to_tiny_angle():
+    """The engine measures distances to range(P_M), and that is the
+    constructed U ∩ V to the pair's own conditioning, EPS / theta_F; the
+    SVD of Q_U^T Q_V alone tilted it by 3.5e-3 toward the plane of 1.07e-6."""
+    geom = pair_geometry(*canonical_pair(12, [0.0, 0.0, 0.0, 0.0, 1.07e-6], q=5, seed=3))
+    f_s = haar_orthogonal(12, np.random.default_rng(3))[:, :4]
+    x0 = np.random.default_rng(8).standard_normal(12)
+    expected = np.linalg.norm(x0 - f_s @ (f_s.T @ x0))
+    for kind in ("MAP", "BT", "AT"):
+        d0 = iterate(MethodSpec(kind), geom, x0, eps=0.0, max_iter=1).distances[0]
+        assert math.isclose(d0, np.linalg.norm(x0 - geom.P_M @ x0), rel_tol=1e-14), kind
+        assert abs(d0 - expected) <= 100 * EPS / geom.theta_F * np.linalg.norm(x0), kind
 
 
 @pytest.mark.parametrize("angles", [

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import map_two_lines_count, squaring_rate, textbook_median
+from oracles import adaptive_step, map_two_lines_count, squaring_rate, textbook_median
 from projrates.methods import (
     DivergenceError,
     MethodSpec,
-    adaptive_step,
     best_parameter,
     build_operator,
     convergence_interval,
@@ -214,23 +213,25 @@ def test_prediction_agrees_with_classifier_across_domain(geom_937, kind):
         assert pred.convergent == (report.status == "convergent"), mu
         if pred.convergent:
             assert math.isclose(pred.gamma, report.gamma, abs_tol=1e-9), mu
-            np.testing.assert_allclose(pred.limit, report.limit, atol=1e-8)
+            np.testing.assert_allclose(limit_projector(spec, geom_937), report.limit, atol=1e-8)
         if pred.solves:
             assert lo < mu < hi
 
 
 def test_prediction_at_zero_relaxation(geom_937):
     for kind, expected in (("T", np.eye(9)), ("R", np.eye(9)), ("S", geom_937.P_U)):
-        pred = predict_rate(MethodSpec(kind, mu=0.0), geom_937)
+        spec = MethodSpec(kind, mu=0.0)
+        pred = predict_rate(spec, geom_937)
         assert pred.convergent and not pred.solves
         assert pred.gamma == 0.0
-        np.testing.assert_allclose(pred.limit, expected, atol=1e-12)
+        np.testing.assert_allclose(limit_projector(spec, geom_937), expected, atol=1e-12)
 
 
 def test_prediction_outside_domain_has_no_limit(geom_937):
-    pred = predict_rate(MethodSpec("T", mu=2.5), geom_937)
+    spec = MethodSpec("T", mu=2.5)
+    pred = predict_rate(spec, geom_937)
     assert not pred.convergent and not pred.solves
-    assert pred.limit is None
+    assert limit_projector(spec, geom_937) is None
     assert pred.gamma > 1
 
 
@@ -239,7 +240,7 @@ def test_adaptive_prediction(geom_937):
     _, best_rate = best_parameter("S", geom_937)
     assert pred.convergent and pred.solves
     assert math.isclose(pred.gamma, best_rate, rel_tol=1e-12)
-    np.testing.assert_allclose(pred.limit, geom_937.P_M)
+    np.testing.assert_allclose(limit_projector(MethodSpec("BT"), geom_937), geom_937.P_M)
 
 
 def test_rate_ordering(geom_937):
@@ -258,7 +259,7 @@ def test_gamma_formula_matches_powers_for_all_kinds(geom_937):
             if not pred.convergent:
                 continue
             a = build_operator(spec, geom_937)
-            fitted = squaring_rate(a, pred.limit, doublings=16)
+            fitted = squaring_rate(a, limit_projector(spec, geom_937), doublings=16)
             assert math.isclose(fitted, pred.gamma, rel_tol=1e-5, abs_tol=1e-9), (kind, mu)
 
 
@@ -305,6 +306,14 @@ def test_iterate_rejects_wrong_dimension(geom_937):
 def test_iterate_rejects_bad_stopping_rule(geom_937, kwargs, name):
     with pytest.raises(ValueError, match=name):
         iterate(MethodSpec("MAP"), geom_937, np.ones(9), **kwargs)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_non_finite_mu_rejected(mu):
+    with pytest.raises(ValueError, match="finite mu"):
+        MethodSpec("T", mu=mu)
+    with pytest.raises(ValueError, match="finite mu"):
+        parse_method(f"S:{mu}")
 
 
 def test_iterate_builds_no_dense_projector():

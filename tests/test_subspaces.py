@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import distance_to_span, projector_via_normal_equations, scipy_angles
 from projrates.methods import iterate, parse_method
 from projrates.subspaces import (
+    EPS,
     Subspace,
     canonical_pair,
     complement,
@@ -169,6 +170,34 @@ def test_trivial_intersection():
     assert intersection(u, v).dim == 0
 
 
+def test_intersection_stays_in_v_next_to_tiny_angle():
+    # cos 0 and cos 1.07e-6 differ by 6e-13, which the SVD of Q_U^T Q_V
+    # cannot resolve: read from that SVD alone, P_M left V by 3.8e-9
+    u, v = canonical_pair(12, [0.0, 0.0, 0.0, 0.0, 1.07e-6], q=5, seed=3)
+    geom = pair_geometry(u, v)
+    assert np.linalg.norm(geom.P_V @ geom.P_M - geom.P_M, 2) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_intersection_next_to_tiny_angles_is_the_constructed_one(seed):
+    """1-4 zero angles next to 1-3 angles in [1e-8, 0.12) and 0-2 large
+    ones.  canonical_pair puts U ∩ V on the first s columns of its frame."""
+    rng = np.random.default_rng(seed)
+    s, k, large = (int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+    angles = np.concatenate([
+        np.zeros(s),
+        np.sort(10.0 ** rng.uniform(-8.0, math.log10(0.12), k)),
+        np.sort(rng.uniform(0.3, 1.5, large)),
+    ])
+    q = angles.size + int(rng.integers(0, 3))
+    n = angles.size + q + int(rng.integers(0, 3))
+    geom = pair_geometry(*canonical_pair(n, angles, q=q, seed=100 + seed))
+    assert geom.s == s
+    f_s = haar_orthogonal(n, np.random.default_rng(100 + seed))[:, :s]
+    assert np.linalg.norm(geom.P_V @ geom.P_M - geom.P_M, 2) <= 1e-13
+    assert np.linalg.norm(geom.P_M - f_s @ f_s.T, 2) <= 100 * EPS / geom.theta_F
+
+
 # ---------------------------------------------------------------------------
 # constructed pairs
 
@@ -251,6 +280,14 @@ def test_pair_geometry_rejects_bad_zero_tol(zero_tol):
     u, v = canonical_pair(6, [0.0, 0.5], seed=19)
     with pytest.raises(ValueError, match="zero_tol"):
         pair_geometry(u, v, zero_tol=zero_tol)
+
+
+@pytest.mark.parametrize("measure", [friedrichs, intersection])
+def test_friedrichs_and_intersection_reject_bad_zero_tol(measure):
+    u, v = canonical_pair(6, [0.0, 0.5], seed=19)
+    for zero_tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="zero_tol"):
+            measure(u, v, zero_tol=zero_tol)
 
 
 def test_norm_identities_of_measured_pair():
