@@ -61,11 +61,30 @@ def _load_geometry(u_file: str, v_file: str, zero_tol: float):
     return pair_geometry(u, v, zero_tol=zero_tol)
 
 
+#: encodes one row of the limit as ``json.dumps(indent=2)`` lays out the
+#: entries of a row nested two levels under a top-level key, but in C
+_LIMIT_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _report_json(report) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte.  With
+    ``indent`` set, ``json`` encodes in pure Python, so the n x n limit is
+    written row by row with the C encoder, which formats floats with the
+    same ``float.__repr__``, and spliced in where the report has it."""
+    d = report_to_dict(report)
+    rows, d["limit"] = d["limit"], None
+    text = json.dumps(d, indent=2)
+    if rows is None:
+        return text
+    body = ",\n    ".join("[\n      " + _LIMIT_ROW.encode(row)[1:-1] + "\n    ]" for row in rows)
+    return text.replace('\n  "limit": null,', '\n  "limit": [\n    ' + body + '\n  ],', 1)
+
+
 def cmd_analyze(args) -> int:
     a = read_matrix(args.matrix)
     report = classify_convergence(a)
     if args.json:
-        print(json.dumps(report_to_dict(report), indent=2))
+        print(_report_json(report))
     else:
         print(f"status: {report.status}")
         print(f"spectral radius: {_fmt(report.spectral_radius)}")

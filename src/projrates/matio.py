@@ -18,7 +18,11 @@ class MatrixFormatError(ValueError):
 
 
 def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
-    """Parse the ``n m`` + rows text format into a float array."""
+    """Parse the ``n m`` + rows text format into a float array.
+
+    Each row is converted with one ``map(float, ...)``; only a file with a
+    bad row or a non-finite entry takes the token-by-token slow path, which
+    names the line, row and column of its first problem."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -49,6 +53,24 @@ def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
         )
 
     out = np.empty((n, m), dtype=float)
+    try:
+        for i, (_, row) in enumerate(rows):
+            values = list(map(float, row.split()))
+            if len(values) != m:
+                break
+            out[i] = values
+        else:
+            if np.isfinite(out).all():
+                return out
+    except ValueError:
+        pass
+    _raise_first_bad_entry(rows, m, name)
+
+
+def _raise_first_bad_entry(rows, m: int, name: str) -> None:
+    """The slow path of ``parse_matrix``: walk the rows token by token and
+    raise for the first short or long row, unparsable token or non-finite
+    entry, naming its line, row and column."""
     for i, (lineno, row) in enumerate(rows):
         entries = row.split()
         if len(entries) != m:
@@ -66,8 +88,7 @@ def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
                     f"{name}, line {lineno} (row {i + 1}, col {j + 1}): "
                     f"{problem} {token!r}; expected a finite number"
                 )
-            out[i, j] = value
-    return out
+    raise AssertionError("the fast path of parse_matrix failed on rows that parse")
 
 
 def format_matrix(a: np.ndarray) -> str:

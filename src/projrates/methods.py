@@ -324,8 +324,8 @@ def iterate(
     instead of a dense O(n^2) matrix-vector product; the linear schemes
     advance whole chunks of steps at once (``_linear_orbit``).
     """
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     x = np.asarray(x0, dtype=float).ravel()

@@ -294,8 +294,10 @@ class PairGeometry:
 
 def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:
     """Measure a pair of subspaces into a PairGeometry."""
-    if not 0.0 <= zero_tol < np.inf:
-        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
+    # every principal angle is at most pi/2: a tolerance that large would
+    # call every pair nested
+    if not 0.0 <= zero_tol < np.pi / 2:
+        raise ValueError(f"zero_tol must be >= 0 and below pi/2, got {zero_tol!r}")
     _check_pair(u, v)
     if u.dim > v.dim:
         u, v = v, u

@@ -11,7 +11,9 @@ pair's projectors (``build_operator`` and the line-search step
 ``adaptive_step``), which checks the principal-coordinate engine behind
 ``iterate``; and ``full_classify``, the convergence verdict over the fully
 resolved ``eigen_structure``, which checks the Jordan indices
-``classify_convergence`` resolves on demand.
+``classify_convergence`` resolves on demand; and ``loop_parse_matrix``, the
+token-by-token matrix parser, which checks the per-row fast path of
+``parse_matrix``.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from projrates.matio import MatrixFormatError
 from projrates.methods import (
     SHADOW_KINDS,
     DivergenceError,
@@ -473,3 +476,58 @@ def full_classify(
         limit_is_orthogonal_projector=is_orth,
         warnings=tuple(notes),
     )
+
+
+def loop_parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
+    """The ``n m`` + rows format parsed one token at a time with ``float``,
+    raising on the first problem with its line, row and column: the parser
+    as it was before its per-row fast path."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append((lineno, stripped))
+    if not lines:
+        raise MatrixFormatError(f"{name}: empty file, expected an 'n m' header")
+
+    header_lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise MatrixFormatError(
+            f"{name}, line {header_lineno}: header must be 'n m', got {header!r}"
+        )
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MatrixFormatError(
+            f"{name}, line {header_lineno}: header entries must be integers, got {header!r}"
+        ) from None
+    if n < 1 or m < 1:
+        raise MatrixFormatError(f"{name}, line {header_lineno}: sizes must be positive")
+
+    rows = lines[1:]
+    if len(rows) != n:
+        raise MatrixFormatError(
+            f"{name}: expected {n} data rows after the header, found {len(rows)}"
+        )
+
+    out = np.empty((n, m), dtype=float)
+    for i, (lineno, row) in enumerate(rows):
+        entries = row.split()
+        if len(entries) != m:
+            raise MatrixFormatError(
+                f"{name}, line {lineno} (row {i + 1}): expected {m} entries, found {len(entries)}"
+            )
+        for j, token in enumerate(entries):
+            try:
+                value = float(token)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                problem = "could not parse" if value is None else "non-finite entry"
+                raise MatrixFormatError(
+                    f"{name}, line {lineno} (row {i + 1}, col {j + 1}): "
+                    f"{problem} {token!r}; expected a finite number"
+                )
+            out[i, j] = value
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,9 +7,9 @@ import pytest
 
 import projrates.cli
 import projrates.methods
-from projrates.cli import main
-from projrates.matio import write_matrix
-from projrates.spectral import report_from_dict
+from projrates.cli import _report_json, main
+from projrates.matio import read_matrix, write_matrix
+from projrates.spectral import classify_convergence, report_from_dict, report_to_dict
 from projrates.subspaces import canonical_pair, geometry_from_dict, pair_geometry
 
 
@@ -50,6 +51,42 @@ def test_analyze_json_round_trips(files, capsys):
     report = report_from_dict(json.loads(capsys.readouterr().out))
     assert report.status == "convergent"
     assert math.isclose(report.gamma, 0.5, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1.0]]),  # 1 x 1 limit
+        np.array([[0.5]]),  # 1 x 1 zero limit
+        np.diag([1.0, 0.5, -0.25]),
+        np.array([[1.0, 1.0], [0.0, 0.0]]),  # oblique limit
+        np.array([[1.0, 1.0], [0.0, 1.0]]),  # null limit and a warning
+        np.array([[0.0, -1.0], [1.0, 0.0]]),  # null limit, rotation
+    ],
+)
+def test_analyze_json_is_json_dumps_indent_2(tmp_path, capsys, a):
+    path = tmp_path / "a.mat"
+    write_matrix(path, a)
+    main(["analyze", str(path), "--json"])
+    report = classify_convergence(read_matrix(path))
+    assert capsys.readouterr().out == json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "limit, warnings",
+    [
+        (np.array([[-0.0]]), ()),
+        (np.array([[-0.0, 1e-300], [-5e-324, 0.1]]), ("limit: null", '"limit": null,')),
+        (np.array([[np.nan, np.inf], [-np.inf, -0.0]]), ("borderline",)),
+        (None, ("two\nlines",)),
+        (np.random.default_rng(3).standard_normal((7, 5)), ()),
+    ],
+)
+def test_report_json_matches_generic_encoder(limit, warnings):
+    report = dataclasses.replace(
+        classify_convergence(np.diag([1.0, 0.5])), limit=limit, warnings=warnings
+    )
+    assert _report_json(report) == json.dumps(report_to_dict(report), indent=2)
 
 
 def test_analyze_missing_file(files, capsys):
@@ -95,6 +132,21 @@ def test_angles_bad_zero_tol_exits_1(files, capsys, zero_tol):
     _, _, _, u_file, v_file = files
     assert main(["angles", str(u_file), str(v_file), "--zero-tol", zero_tol]) == 1
     assert "zero_tol" in capsys.readouterr().err
+
+
+def test_zero_tol_above_right_angle_exits_1(tmp_path, capsys):
+    # every principal angle is at most pi/2, so zero_tol = 2 would call the pair nested
+    u, v = canonical_pair(9, [0.0, 0.5, 1.0], q=4, seed=1)
+    u_file, v_file = tmp_path / "u.mat", tmp_path / "v.mat"
+    write_matrix(u_file, u.basis)
+    write_matrix(v_file, v.basis)
+    assert main(["angles", str(u_file), str(v_file), "--zero-tol", "0.7"]) == 0
+    assert "dim(U intersect V) = 2" in capsys.readouterr().out
+    for argv in (["angles"], ["solve", "--method", "MAP"]):
+        assert main([argv[0], str(u_file), str(v_file), *argv[1:], "--zero-tol", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "zero_tol must be >= 0 and below pi/2, got 2.0" in captured.err
+        assert captured.out == ""
 
 
 def test_angles_dimension_mismatch(files, tmp_path, capsys):
@@ -181,7 +233,8 @@ def test_solve_nan_x0_names_position(files, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value, name",
     [("--zero-tol", "nan", "zero_tol"), ("--zero-tol", "-1", "zero_tol"),
-     ("--eps", "nan", "eps"), ("--eps", "-0.5", "eps"), ("--max-iter", "-5", "max_iter")],
+     ("--eps", "nan", "eps"), ("--eps", "-0.5", "eps"), ("--eps", "inf", "eps"),
+     ("--max-iter", "-5", "max_iter")],
 )
 def test_solve_bad_tolerance_exits_1(files, capsys, flag, value, name):
     _, _, _, u_file, v_file = files

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import projrates.matio
+from oracles import loop_parse_matrix
 from projrates.matio import (
     MatrixFormatError,
     format_matrix,
@@ -99,3 +101,54 @@ def test_read_vector_rejects_matrix(tmp_path):
     path.write_text("2 2\n1 2\n3 4\n")
     with pytest.raises(MatrixFormatError, match="expected a vector"):
         read_vector(path)
+
+
+#: tokens that parse, among them '1_0' and non-ASCII digits, which float()
+#: reads; then tokens float() reads as non-finite, and tokens it refuses
+GOOD_TOKENS = ("1", "-2.5", "1e3", ".25", "-0", "+3", "1e-320", "1_0", "١٢", "１２")
+BAD_TOKENS = (
+    "nan", "NaN", "inf", "-inf", "Infinity", "1e999",
+    "0x10", "1__0", "_1", "x", "1#2", "#", "1,5", "--1",
+)
+
+
+@st.composite
+def token_soups(draw):
+    """Matrix texts that are mostly well formed; a row is spoiled with a bad
+    token, made short or long, or a row goes missing or extra, now and then."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = draw(st.sampled_from([f"{n} {m}"] * 6 + [f" {n}\t{m}", f"{n} {m} 1", f"{n}", "a b"]))
+    lines = [header]
+    for _ in range(n + draw(st.sampled_from([0] * 8 + [-1, 1]))):
+        width = m + draw(st.sampled_from([0] * 10 + [-1, 1]))
+        tokens = draw(st.lists(st.sampled_from(GOOD_TOKENS), min_size=width, max_size=width))
+        if tokens and draw(st.sampled_from([False] * 5 + [True])):
+            tokens[draw(st.integers(0, width - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\u00a0"]))
+        lines.append(sep.join(tokens))
+        lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# note", "  # x 1"]), max_size=1)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(token_soups())
+def test_parse_matches_token_loop_oracle(text):
+    try:
+        expected = loop_parse_matrix(text, name="f.mat")
+    except MatrixFormatError as exc:
+        with pytest.raises(MatrixFormatError) as got:
+            parse_matrix(text, name="f.mat")
+        assert str(got.value) == str(exc)
+    else:
+        a = parse_matrix(text, name="f.mat")
+        assert a.shape == expected.shape
+        assert a.tobytes() == expected.tobytes()
+
+
+def test_parse_takes_no_token_loop_on_good_input(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("slow path taken")
+
+    monkeypatch.setattr(projrates.matio, "_raise_first_bad_entry", refuse)
+    text = "# c\n2 3\n1 -0 1_0\n\n  4e-320 5 6  \n"
+    assert parse_matrix(text).tobytes() == loop_parse_matrix(text).tobytes()

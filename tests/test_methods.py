@@ -301,7 +301,8 @@ def test_iterate_rejects_wrong_dimension(geom_937):
 
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"eps": math.nan}, "eps"), ({"eps": -1e-3}, "eps"), ({"max_iter": -5}, "max_iter")],
+    [({"eps": math.nan}, "eps"), ({"eps": -1e-3}, "eps"), ({"max_iter": -5}, "max_iter"),
+     ({"eps": math.inf}, "eps")],
 )
 def test_iterate_rejects_bad_stopping_rule(geom_937, kwargs, name):
     with pytest.raises(ValueError, match=name):

@@ -189,6 +189,58 @@ def test_classify_nonorthogonal_limit_projector_flagged():
     assert not report.limit_is_orthogonal_projector
 
 
+def _near_projector(delta, seed=5):
+    """An orthogonal projector of rank 6 in R^12 plus delta times a rotation
+    generator K (K^T = -K, every singular value 1): ||P - P^T||_2 = 2 delta
+    while ||P - P^T||_F = 2 delta sqrt(12)."""
+    q = random_orthogonal(12, np.random.default_rng(seed))
+    k = np.kron(np.eye(6), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    p0 = q @ np.diag([1.0] * 6 + [0.0] * 6) @ q.T
+    return p0, p0 + delta * (q @ k @ q.T)
+
+
+@pytest.mark.parametrize(
+    "delta, orthogonal, exact_norms",
+    [
+        (1e-12, True, 0),  # Frobenius below the threshold: no SVD
+        (0.4e-9, True, 3),  # Frobenius above, 2-norm below: the 2-norm accepts
+        (0.6e-9, False, 2),  # both above: the 2-norm refuses at the first residual
+    ],
+)
+def test_orthogonality_test_takes_two_norm_above_frobenius_threshold(
+    monkeypatch, delta, orthogonal, exact_norms
+):
+    p0, p = _near_projector(delta)
+    frob = np.linalg.norm(p - p.T)
+    two = np.linalg.norm(p - p.T, 2)
+    assert (frob > 1e-9) == (delta > 1e-10)
+    assert (two <= 1e-9) == orthogonal
+    scale = max(1.0, np.linalg.norm(p, 2))
+    assert orthogonal == (
+        two <= 1e-9 * scale and np.linalg.norm(p @ p - p, 2) <= 1e-9 * scale
+    )
+
+    calls = []
+    norm = spectral.operator_norm
+    limits = []
+
+    def limit(*args):
+        limits.append(p)
+        return p
+
+    def counted(x):
+        if limits:
+            calls.append(x)
+        return norm(x)
+
+    monkeypatch.setattr(spectral, "_projector_onto_kernel_along_range", limit)
+    monkeypatch.setattr(spectral, "operator_norm", counted)
+    report = classify_convergence(p0)
+    assert report.status == "convergent" and report.limit is p
+    assert report.limit_is_orthogonal_projector == orthogonal
+    assert len(calls) == exact_norms
+
+
 def test_defective_subdominant_is_suboptimal():
     rng = np.random.default_rng(5)
     a = assemble([jordan_block(1.0, 1), jordan_block(0.5, 2)], rng)

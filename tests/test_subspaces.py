@@ -275,7 +275,7 @@ def test_pair_geometry_three_svds_and_same_intersection_bits(monkeypatch, n, ang
         np.testing.assert_array_equal(p_m, projector(intersection(a, b)))
 
 
-@pytest.mark.parametrize("zero_tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("zero_tol", [math.nan, -1.0, math.inf, math.pi / 2, 2.0])
 def test_pair_geometry_rejects_bad_zero_tol(zero_tol):
     u, v = canonical_pair(6, [0.0, 0.5], seed=19)
     with pytest.raises(ValueError, match="zero_tol"):
@@ -285,7 +285,7 @@ def test_pair_geometry_rejects_bad_zero_tol(zero_tol):
 @pytest.mark.parametrize("measure", [friedrichs, intersection])
 def test_friedrichs_and_intersection_reject_bad_zero_tol(measure):
     u, v = canonical_pair(6, [0.0, 0.5], seed=19)
-    for zero_tol in (math.nan, -1.0, math.inf):
+    for zero_tol in (math.nan, -1.0, math.inf, 2.0):
         with pytest.raises(ValueError, match="zero_tol"):
             measure(u, v, zero_tol=zero_tol)
 
