@@ -195,6 +195,12 @@ class InstanceRecord:
     solved: bool
 
 
+#: the columns of records.csv: the InstanceRecord fields but primary_index,
+#: which the cell name carries
+RECORD_COLUMNS = ("cell", "pair_index", "start_index", "pair_seed", "start_seed",
+                  "theta_F", "theta_p", "method", "iterations", "solved")
+
+
 @dataclass(frozen=True)
 class BenchmarkTable:
     """All instance outcomes of one grid run plus the aggregation logic."""
@@ -275,10 +281,7 @@ class BenchmarkTable:
 
     def write_records_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["cell", "pair_index", "start_index", "pair_seed", "start_seed",
-             "theta_F", "theta_p", "method", "iterations", "solved"]
-        )
+        writer.writerow(RECORD_COLUMNS)
         for r in self.records:
             writer.writerow(
                 [r.cell, r.pair_index, r.start_index, r.pair_seed, r.start_seed,
@@ -380,26 +383,37 @@ def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
 
 
 def read_records_csv(fh) -> list:
-    """Parse a records.csv back into InstanceRecord rows."""
+    """Parse a records.csv back into InstanceRecord rows.  Raises ValueError
+    naming the missing columns, or the line of a row that does not parse."""
+    reader = csv.DictReader(fh)
+    missing = [c for c in RECORD_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"not a records.csv: missing column(s) {', '.join(missing)}")
     records = []
-    for row in csv.DictReader(fh):
-        cell = row["cell"]
-        primary = int(cell.split("Z")[0].lstrip("W")) - 1
-        records.append(
-            InstanceRecord(
-                cell=cell,
-                primary_index=primary,
-                pair_index=int(row["pair_index"]),
-                start_index=int(row["start_index"]),
-                pair_seed=int(row["pair_seed"]),
-                start_seed=int(row["start_seed"]),
-                theta_F=float(row["theta_F"]),
-                theta_p=float(row["theta_p"]),
-                method=row["method"],
-                iterations=int(row["iterations"]),
-                solved=row["solved"] == "true",
+    for row in reader:
+        try:
+            if None in row.values():
+                raise ValueError(f"expected {len(RECORD_COLUMNS)} fields")
+            cell = row["cell"]
+            if row["solved"] not in ("true", "false"):
+                raise ValueError(f"solved must be true or false, got {row['solved']!r}")
+            records.append(
+                InstanceRecord(
+                    cell=cell,
+                    primary_index=int(cell.split("Z")[0].lstrip("W")) - 1,
+                    pair_index=int(row["pair_index"]),
+                    start_index=int(row["start_index"]),
+                    pair_seed=int(row["pair_seed"]),
+                    start_seed=int(row["start_seed"]),
+                    theta_F=float(row["theta_F"]),
+                    theta_p=float(row["theta_p"]),
+                    method=row["method"],
+                    iterations=int(row["iterations"]),
+                    solved=row["solved"] == "true",
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records
 
 

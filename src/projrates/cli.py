@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import CategoryGrid, read_records_csv, run_grid, start_vector, table_from_records
-from .matio import MatrixFormatError, read_matrix, read_vector
+from .matio import read_matrix, read_vector
 from .methods import (
     DivergenceError,
     convergence_interval,
@@ -61,30 +61,37 @@ def _load_geometry(u_file: str, v_file: str, zero_tol: float):
     return pair_geometry(u, v, zero_tol=zero_tol)
 
 
-#: encodes one row of the limit as ``json.dumps(indent=2)`` lays out the
+#: encodes one row of a matrix as ``json.dumps(indent=2)`` lays out the
 #: entries of a row nested two levels under a top-level key, but in C
-_LIMIT_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
+_MATRIX_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def _report_json(report) -> str:
-    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte.  With
-    ``indent`` set, ``json`` encodes in pure Python, so the n x n limit is
-    written row by row with the C encoder, which formats floats with the
-    same ``float.__repr__``, and spliced in where the report has it."""
-    d = report_to_dict(report)
-    rows, d["limit"] = d["limit"], None
-    text = json.dumps(d, indent=2)
-    if rows is None:
-        return text
-    body = ",\n    ".join("[\n      " + _LIMIT_ROW.encode(row)[1:-1] + "\n    ]" for row in rows)
-    return text.replace('\n  "limit": null,', '\n  "limit": [\n    ' + body + '\n  ],', 1)
+def _json_dumps(d: dict) -> str:
+    """``json.dumps(d, indent=2)``, byte for byte.  With ``indent`` set,
+    ``json`` encodes in pure Python, so each top-level matrix, a nonempty
+    list of nonempty rows of scalars (the limit of ``analyze``, the bases of
+    ``angles``), is written row by row with the C encoder, which formats
+    floats with the same ``float.__repr__``, and spliced in."""
+    matrices = {
+        key: value for key, value in d.items()
+        if isinstance(value, list) and value
+        and all(isinstance(row, list) and row for row in value)
+    }
+    text = json.dumps(
+        {key: None if key in matrices else value for key, value in d.items()}, indent=2
+    )
+    for key, rows in matrices.items():
+        body = ",\n    ".join("[\n      " + _MATRIX_ROW.encode(row)[1:-1] + "\n    ]" for row in rows)
+        quoted = json.dumps(key)
+        text = text.replace(f"\n  {quoted}: null", f"\n  {quoted}: [\n    {body}\n  ]", 1)
+    return text
 
 
 def cmd_analyze(args) -> int:
     a = read_matrix(args.matrix)
     report = classify_convergence(a)
     if args.json:
-        print(_report_json(report))
+        print(_json_dumps(report_to_dict(report)))
     else:
         print(f"status: {report.status}")
         print(f"spectral radius: {_fmt(report.spectral_radius)}")
@@ -110,7 +117,7 @@ def cmd_analyze(args) -> int:
 def cmd_angles(args) -> int:
     geom = _load_geometry(args.u_file, args.v_file, args.zero_tol)
     if args.json:
-        print(json.dumps(geometry_to_dict(geom), indent=2))
+        print(_json_dumps(geometry_to_dict(geom)))
         return EXIT_OK
     print(f"dim U = {geom.p}, dim V = {geom.q}, ambient dim = {geom.ambient_dim}")
     print(f"angles: {' '.join(_fmt(a) for a in geom.angles)}")
@@ -180,7 +187,7 @@ def cmd_solve(args) -> int:
         "warnings": warnings,
     }
     if args.json:
-        print(json.dumps(result, indent=2))
+        print(_json_dumps(result))
     else:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -217,19 +224,18 @@ def cmd_bench(args) -> int:
     else:
         grid = CategoryGrid()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fails before the grid runs
     try:
         table = run_grid(grid, methods, master_seed=args.seed)
     except RuntimeError as exc:  # sample_pair: a re-measured pair left its cell
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    out_dir = Path(args.out)
     table.export(out_dir)
 
     if args.json:
-        print(json.dumps(
-            {"master_seed": args.seed, "out": str(out_dir), "stats": _bin_stats(table)},
-            indent=2,
+        print(_json_dumps(
+            {"master_seed": args.seed, "out": str(out_dir), "stats": _bin_stats(table)}
         ))
     else:
         print(table.format_summary())
@@ -247,7 +253,7 @@ def cmd_report(args) -> int:
         with open(args.out, "w") as fh:
             table.write_summary_csv(fh)
     if args.json:
-        print(json.dumps({"stats": _bin_stats(table)}, indent=2))
+        print(_json_dumps({"stats": _bin_stats(table)}))
     else:
         print(table.format_summary())
     return EXIT_OK
@@ -321,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # MatrixFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -304,11 +304,6 @@ def eigen_structure(
     )
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    a = _check_square(a)
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
 def _subdominant(values, cluster_tol: float) -> tuple[int | None, float, list[int]]:
     """Position of the unit cluster (None if there is none), the subdominant
     modulus and the positions of the clusters attaining it."""

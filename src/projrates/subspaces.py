@@ -147,59 +147,32 @@ class PrincipalFrame:
     """Principal coordinates of a pair: the basis in which every projection
     scheme is block diagonal (Halmos' two-subspace theorem).
 
-    For each of the ``K = p - s`` nonzero angles theta_k the plane spanned by
-    the principal vectors u_k (in U) and w_k (the unit vector along the
-    U-perp part of v_k) carries ``P_U = [[1, 0], [0, 0]]`` and
-    ``P_V = [[c^2, cs], [cs, s^2]]`` with ``c, s = cos, sin theta_k``.  The
-    first ``s`` principal vectors of U span U ∩ V, which every scheme fixes.
-    What is left of a point splits into its part in V ∩ U-perp (P_U = 0,
-    P_V = 1) and its remainder in (U + V)-perp (P_U = P_V = 0).
-
-    U ∩ V is decided here and nowhere else: ``PairGeometry.M`` is read from
-    the first s columns of ``qu @ left``, so U ∩ V is exactly the range of
-    P_M.  u_k and v_k come from the SVD of Q_U^T Q_V, where
-    w_k = (v_k - c u_k) / s is exact to about EPS / s^2, which is enough for
-    sin(theta_k) >= 1/8.  The planes of smaller angles and U ∩ V are
-    re-paired, and those planes' w_k stored, as ``PairGeometry.frame``
-    describes.  No n x n or n x K matrix is formed for the others.
+    ``u`` (n x p) holds the principal vectors of U; its first ``s`` columns
+    span U ∩ V, which every scheme fixes.  For each of the ``K = p - s``
+    nonzero angles theta_k, the plane of u_k and w_k (column k of ``w``, the
+    unit vector along the U-perp part of v_k) carries ``P_U = [[1, 0], [0, 0]]``
+    and ``P_V = [[c^2, cs], [cs, s^2]]`` with ``c, s = cos, sin theta_k``.
+    ``e`` (n x (q - p)) is an orthonormal basis of V ∩ U-perp (P_U = 0,
+    P_V = 1); what is left of a point lies in (U + V)-perp (P_U = P_V = 0).
+    Together ``u``, ``w`` and ``e`` are an orthonormal basis of U + V.
     """
 
     s: int
-    qu: np.ndarray  # n x p basis of U
-    left: np.ndarray  # p x p: the principal vectors of U are qu @ left
-    qv: np.ndarray  # n x q basis of V
-    v_rows: np.ndarray  # v_k = qv @ v_rows[j] for the planes after the re-paired ones
-    extra: np.ndarray  # (q - p) x q: V ∩ U-perp is spanned by qv @ extra.T
-    w: np.ndarray  # n x k: w_k of the k re-paired planes, the first k
+    u: np.ndarray  # n x p: the principal vectors of U
+    w: np.ndarray  # n x K: w_k for each nonzero angle
+    e: np.ndarray  # n x (q - p): a basis of V ∩ U-perp
     cos: np.ndarray  # K cosines of the nonzero angles
     sin: np.ndarray  # K sines of the nonzero angles
 
-    def combine(self, along_u, along_w, in_extra) -> np.ndarray:
-        """The vector with these coordinates along the principal vectors of
-        U, the w_k and the basis ``qv @ extra.T`` of V ∩ U-perp."""
-        k = self.w.shape[1]
-        t = along_w[k:] / self.sin[k:]  # w_k = (v_k - c u_k) / s past the first k
-        in_u = self.left @ along_u - self.left[:, self.s + k :] @ (self.cos[k:] * t)
-        return (self.qu @ in_u + self.qv @ (self.v_rows.T @ t + self.extra.T @ in_extra)
-                + self.w @ along_w[:k])
-
     def split(self, x: np.ndarray) -> tuple:
-        """Principal coordinates of ``x``: along the principal vectors of U
-        (the first s span U ∩ V), along the w_k, along V ∩ U-perp, and the
-        remainder in (U + V)-perp as a vector."""
-        in_v = self.qv.T @ x
-        along_u = self.left.T @ (self.qu.T @ x)
-        k = self.w.shape[1]
-        along_w = np.concatenate([
-            self.w.T @ x,
-            (self.v_rows @ in_v - self.cos[k:] * along_u[self.s + k :]) / self.sin[k:],
-        ])
-        in_extra = self.extra @ in_v
-        return along_u, along_w, in_extra, x - self.combine(along_u, along_w, in_extra)
+        """Principal coordinates of ``x``: along ``u``, ``w`` and ``e``, and
+        the remainder in (U + V)-perp as a vector."""
+        along_u, along_w, in_extra = self.u.T @ x, self.w.T @ x, self.e.T @ x
+        return along_u, along_w, in_extra, x - self.join(along_u, along_w, in_extra, 0.0)
 
     def join(self, along_u, along_w, in_extra, rest) -> np.ndarray:
         """Inverse of ``split``."""
-        return self.combine(along_u, along_w, in_extra) + rest
+        return self.u @ along_u + self.w @ along_w + self.e @ in_extra + rest
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +218,7 @@ class PairGeometry:
     @cached_property
     def M(self) -> Subspace:
         """U ∩ V: the first s principal vectors of U in ``frame``."""
-        return Subspace(self.U.basis @ self.frame.left[:, : self.s])
+        return Subspace(self.frame.u[:, : self.s])
 
     @cached_property
     def P_M(self) -> np.ndarray:
@@ -254,13 +227,16 @@ class PairGeometry:
     @cached_property
     def frame(self) -> PrincipalFrame:
         """The pair's principal coordinates, built on first use from the SVD
-        of Q_U^T Q_V.
+        of Q_U^T Q_V.  U ∩ V is decided here and nowhere else: ``M`` is the
+        span of the first s columns of ``frame.u``.
 
-        Where sin(theta) < 1/8 the cosines cluster near 1, and that SVD pairs
-        u_k with v_k too loosely; next to such an angle it also tilts U ∩ V,
-        since it cannot tell cos 0 from cos theta_F.  So when k nonzero angles
-        have sin(theta) < 1/8, the whole cluster, the s zero angles and those
-        k, is re-paired from the SVD of the U-perp parts of its v's (n x
+        That SVD gives u_k and v_k, and w_k = (v_k - c u_k) / s is exact to
+        about EPS / s^2, which is enough for sin(theta) >= 1/8.  Below that
+        the cosines cluster near 1, and the SVD pairs u_k with v_k too
+        loosely; next to such an angle it also tilts U ∩ V, since it cannot
+        tell cos 0 from cos theta_F.  So when k nonzero angles have
+        sin(theta) < 1/8, the whole cluster, the s zero angles and those k,
+        is re-paired from the SVD of the U-perp parts of its v's (n x
         (s + k)), as ``principal_angles`` measures small angles from the
         sines: the s directions of zero sine span U ∩ V, the next k give the
         w_k.
@@ -268,28 +244,22 @@ class PairGeometry:
         qu, qv = self.U.basis, self.V.basis
         left, _, right_t = np.linalg.svd(qu.T @ qv)
         p, s = self.p, self.s
-        nonzero = self.angles[s:]
-        k = int(np.count_nonzero(np.sin(nonzero) < 0.125))
-        r = s + k if k else 0  # the re-paired cluster
-        v_rows, extra = right_t[s + k : p], right_t[p:]
-        w = qv @ right_t[:r].T
-        for _ in range(2):  # the U-perp parts, orthogonal to U to working precision
-            w -= qu @ (qu.T @ w)
+        cos, sin = np.cos(self.angles[s:]), np.sin(self.angles[s:])
+        k = int(np.count_nonzero(sin < 0.125))
+        u, e = qu @ left, qv @ right_t[p:].T
+        w = (qv @ right_t[s + k : p].T - u[:, s + k :] * cos[k:]) / sin[k:]
         if k:
+            r = s + k  # the re-paired cluster
+            y = qv @ right_t[:r].T
+            for _ in range(2):  # the U-perp parts, orthogonal to U to working precision
+                y -= qu @ (qu.T @ y)
             # and to the other w's and V ∩ U-perp, whose rounding is large
             # next to sin(theta)
-            in_v = qv.T @ w
-            sin_rest = np.sin(nonzero[k:])[:, None]
-            t = (v_rows @ in_v) / sin_rest**2  # coordinates along the other w's, over sin
-            w -= qv @ (v_rows.T @ t + extra.T @ (extra @ in_v))
-            w += qu @ (left[:, s + k :] @ (np.cos(nonzero[k:])[:, None] * t))
-            y, _, zt = np.linalg.svd(w, full_matrices=False)
-            w, z = y[:, ::-1][:, s:], zt[::-1].T  # ascending sines, like the angles
-            left[:, :r] = left[:, :r] @ z
-        return PrincipalFrame(
-            s=s, qu=qu, left=left, qv=qv, v_rows=v_rows, extra=extra, w=w,
-            cos=np.cos(nonzero), sin=np.sin(nonzero),
-        )
+            y -= w @ (w.T @ y) + e @ (e.T @ y)
+            y, _, zt = np.linalg.svd(y, full_matrices=False)
+            w = np.hstack([y[:, ::-1][:, s:], w])  # ascending sines, like the angles
+            u[:, :r] = qu @ (left[:, :r] @ zt[::-1].T)
+        return PrincipalFrame(s=s, u=u, w=w, e=e, cos=cos, sin=sin)
 
 
 def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:

@@ -7,10 +7,16 @@ import pytest
 
 import projrates.cli
 import projrates.methods
-from projrates.cli import _report_json, main
+from projrates.cli import _json_dumps, main
 from projrates.matio import read_matrix, write_matrix
 from projrates.spectral import classify_convergence, report_from_dict, report_to_dict
-from projrates.subspaces import canonical_pair, geometry_from_dict, pair_geometry
+from projrates.subspaces import (
+    canonical_pair,
+    geometry_from_dict,
+    geometry_to_dict,
+    pair_geometry,
+    subspace_from_spanning,
+)
 
 
 @pytest.fixture()
@@ -86,7 +92,7 @@ def test_report_json_matches_generic_encoder(limit, warnings):
     report = dataclasses.replace(
         classify_convergence(np.diag([1.0, 0.5])), limit=limit, warnings=warnings
     )
-    assert _report_json(report) == json.dumps(report_to_dict(report), indent=2)
+    assert _json_dumps(report_to_dict(report)) == json.dumps(report_to_dict(report), indent=2)
 
 
 def test_analyze_missing_file(files, capsys):
@@ -125,6 +131,23 @@ def test_angles_json_round_trips(files, capsys):
     assert main(["angles", str(u_file), str(v_file), "--json"]) == 0
     geom = geometry_from_dict(json.loads(capsys.readouterr().out))
     assert math.isclose(geom.theta_F, 0.7, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("n, angles, q", [
+    (2, [0.7], 1),  # p = 1: every row of U holds one entry
+    (9, [0.0, 0.4, 1.1], 5),  # an intersection and V wider than U
+])
+def test_angles_json_is_json_dumps_indent_2(tmp_path, capsys, n, angles, q):
+    u, v = canonical_pair(n, angles, q=q, seed=4)
+    u_file, v_file = tmp_path / "u.mat", tmp_path / "v.mat"
+    write_matrix(u_file, u.basis)
+    write_matrix(v_file, v.basis)
+    assert main(["angles", str(u_file), str(v_file), "--json"]) == 0
+    geom = pair_geometry(subspace_from_spanning(read_matrix(u_file)),
+                         subspace_from_spanning(read_matrix(v_file)))
+    d = geometry_to_dict(geom)
+    assert list(d)[-1] == "V"  # the matrix is the last key
+    assert capsys.readouterr().out == json.dumps(d, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("zero_tol", ["nan", "-1", "inf"])
@@ -429,6 +452,48 @@ def test_report_json(tiny_config, tmp_path, capsys):
 
 def test_report_missing_file(capsys):
     assert main(["report", "missing.csv"]) == 1
+
+
+def test_report_names_missing_columns(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("a,b\n1,2\n")
+    assert main(["report", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert "missing column(s) cell, pair_index," in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", [
+    "W1Z1,0,0,1,2,0.3,0.4,MAP,many,true",  # a field that does not parse
+    "W1Z1,0,0,1",  # a short row
+    "W1Z1,0,0,1,2,0.3,0.4,MAP,12,yes",  # solved neither true nor false
+])
+def test_report_bad_row_names_its_line(tmp_path, capsys, row):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "cell,pair_index,start_index,pair_seed,start_seed,theta_F,theta_p,method,"
+        "iterations,solved\nW1Z1,0,0,1,2,0.3,0.4,MAP,12,true\n" + row + "\n"
+    )
+    assert main(["report", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_bench_out_under_a_file_exits_1_before_the_grid(tmp_path, capsys, monkeypatch, sub):
+    target = tmp_path / "taken"
+    target.write_text("a file\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(projrates.cli, "run_grid", refuse)
+    assert main(["bench", "--out", str(target / sub)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.out == ""
+    assert target.read_text() == "a file\n"
 
 
 # ---------------------------------------------------------------------------

@@ -177,18 +177,17 @@ def test_distance_is_to_the_constructed_intersection_next_to_tiny_angle():
 @pytest.mark.parametrize("angles", [
     [2e-6, 2e-6, 5e-6, 0.3, math.pi / 2],  # repeated tiny angles and pi/2
     [0.0, 0.0, 0.3, 0.3, 1.2],  # an intersection and a repeated angle
+    [0.0, 2e-6, 0.3, 1.2],  # re-paired planes next to formula-built ones
 ])
 def test_frame_is_orthonormal_and_block_diagonal(angles):
     geom = pair_geometry(*canonical_pair(16, angles, q=7, seed=3))
     f = geom.frame
-    u = f.qu @ f.left
-    zero_u, zero_extra = np.zeros(f.qu.shape[1]), np.zeros(f.extra.shape[0])
-    w = np.column_stack([f.combine(zero_u, e, zero_extra) for e in np.eye(f.cos.size)])
-    in_v_only = f.qv @ f.extra.T  # V ∩ U-perp
-    basis = np.hstack([u, w, in_v_only])
+    assert f.w.shape[1] == f.cos.size == geom.p - geom.s
+    basis = np.hstack([f.u, f.w, f.e])
     assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-14
-    v = u[:, f.s:] * f.cos + w * f.sin
-    p_v = u[:, : f.s] @ u[:, : f.s].T + v @ v.T + in_v_only @ in_v_only.T
+    assert np.abs(f.u @ f.u.T - geom.P_U).max() <= 1e-14
+    v = f.u[:, f.s:] * f.cos + f.w * f.sin
+    p_v = f.u[:, : f.s] @ f.u[:, : f.s].T + v @ v.T + f.e @ f.e.T
     assert np.abs(p_v - geom.P_V).max() <= 1e-14
     x = np.random.default_rng(0).standard_normal(16)
     np.testing.assert_allclose(f.join(*f.split(x)), x, rtol=0, atol=1e-14)
