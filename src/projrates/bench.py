@@ -20,6 +20,7 @@ import csv
 import math
 import numbers
 import pathlib
+import re
 import statistics
 from dataclasses import asdict, dataclass, fields
 
@@ -395,12 +396,15 @@ def read_records_csv(fh) -> list:
             if None in row.values():
                 raise ValueError(f"expected {len(RECORD_COLUMNS)} fields")
             cell = row["cell"]
+            label = re.fullmatch(r"W([1-9][0-9]*)Z[1-9][0-9]*", cell)
+            if label is None:
+                raise ValueError(f"cell must be W<i>Z<j> with i, j >= 1, got {cell!r}")
             if row["solved"] not in ("true", "false"):
                 raise ValueError(f"solved must be true or false, got {row['solved']!r}")
             records.append(
                 InstanceRecord(
                     cell=cell,
-                    primary_index=int(cell.split("Z")[0].lstrip("W")) - 1,
+                    primary_index=int(label[1]) - 1,
                     pair_index=int(row["pair_index"]),
                     start_index=int(row["start_index"]),
                     pair_seed=int(row["pair_seed"]),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .subspaces import EPS, PairGeometry, subspace_from_spanning
+from .subspaces import EPS, PairGeometry
 
 RELAXED_KINDS = ("T", "S", "R")
 FIXED_KINDS = ("MAP", "DR", "BT", "AT")
@@ -187,9 +187,12 @@ def convergence_interval(kind: str, geom: PairGeometry) -> tuple[float, float]:
 
 
 def perp_intersection_projector(geom: PairGeometry) -> np.ndarray:
-    """Orthogonal projector onto (U + V)-perp, i.e. U-perp ∩ V-perp."""
-    q = subspace_from_spanning(np.hstack([geom.U.basis, geom.V.basis])).basis
-    return np.eye(geom.ambient_dim) - q @ q.T
+    """Orthogonal projector onto (U + V)-perp, i.e. U-perp ∩ V-perp: I - B B^T
+    for the orthonormal basis B = [u, w, e] of U + V in ``geom.frame``, so
+    U + V has the dimension p + q - s the frame decided."""
+    f = geom.frame
+    b = np.hstack([f.u, f.w, f.e])
+    return np.eye(geom.ambient_dim) - b @ b.T
 
 
 def build_operator(spec: MethodSpec, geom: PairGeometry) -> np.ndarray:

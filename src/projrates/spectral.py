@@ -240,32 +240,21 @@ def _clustered_spectrum(
     return _Spectrum(tuple(values), tuple(mults), tuple(partners), cluster_tol, rank_tol)
 
 
-def _resolve_indices(a: np.ndarray, spectrum: _Spectrum, positions) -> dict[int, int]:
-    """Jordan index of the clusters at ``positions`` and of their conjugate
-    partners, by the rank test of ``_cluster_index``.  A pair shares the
-    index found for whichever of the two comes first."""
+def _clusters(a: np.ndarray, spectrum: _Spectrum, positions) -> dict[int, EigenCluster]:
+    """``EigenCluster`` of each cluster at ``positions`` and of its conjugate
+    partner, with the Jordan index from the rank test of ``_cluster_index``.
+    A pair shares the index found for whichever of the two comes first."""
     wanted = set(positions)
     wanted.update(spectrum.partners[i] for i in positions if spectrum.partners[i] is not None)
-    indices: dict[int, int] = {}
+    out: dict[int, EigenCluster] = {}
     for i in sorted(wanted):
-        if i in indices:
-            continue
-        k = _cluster_index(a, spectrum.values[i], spectrum.mults[i], spectrum.rank_tol)
-        indices[i] = k
-        if spectrum.partners[i] is not None:
-            indices[spectrum.partners[i]] = k
-    return indices
-
-
-def _eigen_cluster(spectrum: _Spectrum, i: int, index: int) -> EigenCluster:
-    value = spectrum.values[i]
-    return EigenCluster(
-        value=value,
-        modulus=abs(value),
-        algebraic_multiplicity=spectrum.mults[i],
-        index=index,
-        semisimple=index == 1,
-    )
+        value, mult, partner = spectrum.values[i], spectrum.mults[i], spectrum.partners[i]
+        if partner in out:
+            index = out[partner].index
+        else:
+            index = _cluster_index(a, value, mult, spectrum.rank_tol)
+        out[i] = EigenCluster(value, abs(value), mult, index, index == 1)
+    return out
 
 
 def eigen_structure(
@@ -295,9 +284,7 @@ def eigen_structure(
     """
     a = _check_square(a)
     spectrum = _clustered_spectrum(a, cluster_tol, rank_tol)
-    positions = range(len(spectrum.values))
-    indices = _resolve_indices(a, spectrum, positions)
-    clusters = tuple(_eigen_cluster(spectrum, i, indices[i]) for i in positions)
+    clusters = tuple(_clusters(a, spectrum, range(len(spectrum.values))).values())
     policy = f"sigma > rank_tol * ||A - value*I||^k with rank_tol = {spectrum.rank_tol:.6e}"
     return EigenStructure(
         clusters=clusters, cluster_tol=spectrum.cluster_tol, rank_tol_policy=policy
@@ -321,24 +308,30 @@ def subdominant_modulus(
     cluster_tol: float | None = None,
     rank_tol: float | None = None,
 ) -> float:
-    """Largest eigenvalue modulus after removing the eigenvalue 1 (0 if none)."""
-    struct = eigen_structure(a, cluster_tol, rank_tol)
-    _, gamma, _ = _subdominant([c.value for c in struct.clusters], struct.cluster_tol)
-    return gamma
+    """Largest eigenvalue modulus after removing the eigenvalue 1 (0 if none);
+    no Jordan index is resolved."""
+    spectrum = _clustered_spectrum(_check_square(a), cluster_tol, rank_tol)
+    return _subdominant(spectrum.values, spectrum.cluster_tol)[1]
 
 
 # ---------------------------------------------------------------------------
 # limits
 
 
-def _projector_onto_kernel_along_range(b: np.ndarray, kdim: int, abs_tol: float) -> np.ndarray:
+def _projector_onto_kernel_along_range(
+    b: np.ndarray, kdim: int, abs_tol: float | None = None, rank_tol: float = 0.0
+) -> np.ndarray:
     """Projector onto ker(b) along ran(b); requires the two to be complementary.
 
     ``abs_tol`` is the absolute singular-value cutoff separating ran(b)
-    from ker(b); callers scale it to the natural magnitude of b.
+    from ker(b); callers scale it to the natural magnitude of b.  Without
+    it the cutoff is ``rank_tol`` times the largest singular value of b,
+    read from the SVD that splits it.
     """
     n = b.shape[0]
     u, s, vh = np.linalg.svd(b)
+    if abs_tol is None:
+        abs_tol = rank_tol * float(s[0])
     r = int(np.count_nonzero(s > abs_tol))
     if n - r != kdim:
         raise SpectralError(
@@ -350,8 +343,7 @@ def _projector_onto_kernel_along_range(b: np.ndarray, kdim: int, abs_tol: float)
     basis = np.hstack([kernel, ran])
     target = np.hstack([kernel, np.zeros((n, r), dtype=basis.dtype)])
     # P maps the kernel part to itself and the range part to zero
-    proj = np.linalg.solve(basis.T, target.T).T
-    return proj
+    return np.linalg.solve(basis.T, target.T).T
 
 
 #: ||X||_2 <= ||X||_F and the orthogonality threshold is 1e-9 * scale with
@@ -397,56 +389,37 @@ def classify_convergence(
     moduli = [abs(v) for v in values]
     rho = max(moduli)
     unit, gamma, attaining = _subdominant(values, spectrum.cluster_tol)
-    indices = _resolve_indices(a, spectrum, attaining if unit is None else [unit, *attaining])
-    subdominant = tuple(_eigen_cluster(spectrum, i, indices[i]) for i in attaining)
+    clusters = _clusters(a, spectrum, attaining if unit is None else [unit, *attaining])
+    subdominant = tuple(clusters[i] for i in attaining)
     on_circle = [i for i, m in enumerate(moduli) if abs(m - 1.0) <= tol_circle]
     bad_circle = [i for i in on_circle if i != unit]
 
     notes: list[str] = []
-    convergent = False
+    limit = None
     if bad_circle:
-        for i in bad_circle:
-            notes.append(
-                f"borderline: |{values[i]}| = {moduli[i]:.12g} lies within "
-                f"tol_circle={tol_circle:g} of 1 but the value is not 1"
-            )
+        notes.extend(
+            f"borderline: |{values[i]}| = {moduli[i]:.12g} lies within "
+            f"tol_circle={tol_circle:g} of 1 but the value is not 1"
+            for i in bad_circle
+        )
     elif rho > 1.0 + tol_circle:
         pass  # strictly expanding somewhere
-    elif unit is not None and on_circle:
-        convergent = indices[unit] == 1
-        if not convergent:
+    elif unit in on_circle:
+        if not clusters[unit].semisimple:
             notes.append("eigenvalue 1 is defective (index > 1), powers do not converge")
-    else:
-        # remaining case: every modulus < 1 - tol_circle
-        convergent = rho < 1.0 - tol_circle
-
-    limit = None
-    is_orth = False
-    if convergent:
-        if unit is not None and on_circle:
-            b = a - np.eye(n)
+        else:
             try:
                 limit = _projector_onto_kernel_along_range(
-                    b, spectrum.mults[unit], spectrum.rank_tol * operator_norm(b)
+                    a - np.eye(n), spectrum.mults[unit], rank_tol=spectrum.rank_tol
                 )
             except SpectralError as exc:
                 # an eigenvalue clustered at 1 whose kernel does not show up
                 # at the rank tolerance: numerically indistinguishable from a
                 # modulus just inside the circle, so refuse to classify it
-                convergent = False
                 notes.append(f"borderline: {exc}")
-            else:
-                limit = np.asarray(limit, dtype=float)
-        else:
-            limit = np.zeros((n, n))
-    if not convergent:
-        limit = None
-    if limit is not None:
-        is_orth = _is_orthogonal_projector(limit)
-
-    optimal = bool(subdominant) and all(c.semisimple for c in subdominant)
-    if not subdominant:
-        optimal = True  # spectrum is {1}: powers are eventually constant
+    elif rho < 1.0 - tol_circle:
+        limit = np.zeros((n, n))
+    convergent = limit is not None
 
     return ConvergenceReport(
         status="convergent" if convergent else "not_convergent",
@@ -454,8 +427,8 @@ def classify_convergence(
         spectral_radius=rho,
         gamma=gamma,
         subdominant_clusters=subdominant,
-        optimal_rate_attained=optimal if convergent else False,
-        limit_is_orthogonal_projector=is_orth,
+        optimal_rate_attained=convergent and all(c.semisimple for c in subdominant),
+        limit_is_orthogonal_projector=convergent and _is_orthogonal_projector(limit),
         warnings=tuple(notes),
     )
 
@@ -493,18 +466,17 @@ def spectral_projectors(
     """
     a = _check_square(a)
     n = a.shape[0]
-    struct = eigen_structure(a, cluster_tol, rank_tol)
-    rt = default_rank_tol(n) if rank_tol is None else rank_tol
+    spectrum = _clustered_spectrum(a, cluster_tol, rank_tol)
     out = []
-    for c in struct.clusters:
+    for c in _clusters(a, spectrum, range(len(spectrum.values))).values():
         b = a.astype(complex) - c.value * np.eye(n)
         bk = np.linalg.matrix_power(b, c.index)
         # cutoff at the power's natural scale ||B||^k, matching the index search
-        abs_tol = rt * operator_norm(b) ** c.index
+        abs_tol = spectrum.rank_tol * operator_norm(b) ** c.index
         try:
             proj = _projector_onto_kernel_along_range(bk, c.algebraic_multiplicity, abs_tol)
         except SpectralError as exc:
-            gap = _min_cluster_gap([cc.value for cc in struct.clusters])
+            gap = _min_cluster_gap(spectrum.values)
             raise SpectralError(f"{exc} (smallest cluster gap: {gap:.3e})") from None
         out.append((c, proj))
     return out

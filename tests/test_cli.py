@@ -480,6 +480,20 @@ def test_report_bad_row_names_its_line(tmp_path, capsys, row):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cell", ["W0Z1", "W1", "W1Zx", "Z1"])
+def test_report_malformed_cell_names_its_line(tmp_path, capsys, cell):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "cell,pair_index,start_index,pair_seed,start_seed,theta_F,theta_p,method,"
+        f"iterations,solved\n{cell},0,0,1,2,0.3,0.4,MAP,12,true\n"
+    )
+    assert main(["report", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: cell must be W<i>Z<j>")
+    assert repr(cell) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_bench_out_under_a_file_exits_1_before_the_grid(tmp_path, capsys, monkeypatch, sub):
     target = tmp_path / "taken"

@@ -197,6 +197,18 @@ def test_limit_projectors(geom_937):
     assert np.linalg.matrix_rank(perp) == 3
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-15, 1e-12, 5e-9])
+def test_dr_limit_agrees_with_the_frames_intersection(t):
+    # a tiny angle next to a zero one: the frame decides s = 1, so U + V has
+    # p + q - s = 6 directions, and the limit fixes s + (n - 6) of them
+    geom = geometry(10, [t, 0.5, 1.0], q=4, seed=3)
+    assert geom.s == 1
+    limit = limit_projector(MethodSpec("DR"), geom)
+    np.testing.assert_allclose(limit, limit.T, atol=1e-12)
+    np.testing.assert_allclose(limit @ limit, limit, atol=1e-12)
+    assert math.isclose(np.trace(limit), geom.s + 10 - (geom.p + geom.q - geom.s), abs_tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # predictions against the spectral classifier
 

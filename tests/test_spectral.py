@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from oracles import (
     union_find_groups,
 )
 from projrates import spectral
+from projrates.matio import read_matrix
 from projrates.methods import MethodSpec, build_operator, convergence_interval
 from projrates.spectral import (
     NotConvergentError,
@@ -224,7 +228,7 @@ def test_orthogonality_test_takes_two_norm_above_frobenius_threshold(
     norm = spectral.operator_norm
     limits = []
 
-    def limit(*args):
+    def limit(*args, **kwargs):
         limits.append(p)
         return p
 
@@ -391,6 +395,54 @@ def test_subdominant_modulus_of_construction():
     rng = np.random.default_rng(9)
     a = assemble([np.diag([1.0, 1.0]), rotation_scaling_block(0.65, 0.3), np.diag([0.1])], rng)
     assert math.isclose(subdominant_modulus(a), 0.65, rel_tol=1e-9)
+
+
+def test_subdominant_modulus_resolves_no_jordan_index(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = assemble([jordan_block(1.0, 1), jordan_block(0.5, 2), rotation_scaling_block(0.3, 1.0)], rng)
+    gamma = classify_convergence(a).gamma
+
+    def refuse(*args):
+        raise AssertionError("subdominant_modulus resolved a Jordan index")
+
+    monkeypatch.setattr(spectral, "_cluster_index", refuse)
+    assert subdominant_modulus(a) == gamma
+
+
+def corpus_matrix(seed, index, tmp_path, monkeypatch):
+    """Matrix ``index`` of the benchmark's analyze corpus of ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return read_matrix(workloads.Analyze().generate(seed, tmp_path).cases[index].path)
+
+
+def test_unit_cluster_verdict_takes_one_svd_of_a_minus_i(monkeypatch, tmp_path):
+    a = corpus_matrix(7, 0, tmp_path, monkeypatch)  # the T operator at n = 300
+    b = a - np.eye(len(a))
+    norm, svd = spectral.operator_norm, np.linalg._linalg.svd
+    normed, svds = [], []
+
+    def counted_norm(x):
+        normed.append(x)
+        return norm(x)
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "operator_norm", counted_norm)
+    # np.linalg.norm calls the module-level svd of numpy.linalg._linalg
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    report = classify_convergence(a)
+    assert report.status == "convergent" and report.limit_is_orthogonal_projector
+    assert not any(np.array_equal(x, b) for x in normed)
+    # ||A||, the index of the unit cluster and of the one at gamma, and the
+    # full SVD of A - I that sets its own cutoff
+    assert len(svds) == 4
 
 
 def test_empirical_rate_matches_gamma_when_semisimple():
