@@ -83,8 +83,9 @@ class CategoryGrid:
             raise ValueError("counts must be at least 1")
         if self.ambient_dim < 2:
             raise ValueError("ambient dimension must be at least 2")
-        if not (self.eps > 0 and self.start_norm > 0):
-            raise ValueError("eps and start_norm must be positive")
+        for name in ("eps", "start_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
     def primary_label(self, i: int) -> str:
         return f"W{i + 1}"

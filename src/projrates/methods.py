@@ -58,17 +58,18 @@ class MethodSpec:
     best: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown method kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in RELAXED_KINDS:
-            if self.best == (self.mu is not None):
-                raise ValueError(
-                    f"{self.kind} needs exactly one of a numeric mu or 'best'"
-                )
-            if self.mu is not None and not math.isfinite(self.mu):
-                raise ValueError(f"{self.kind} needs a finite mu, got mu={self.mu!r}")
-        elif self.mu is not None or self.best:
-            raise ValueError(f"{self.kind} does not take a relaxation parameter")
+        kind = self.kind
+        if kind not in KINDS:
+            raise ValueError(f"unknown method {kind!r}; expected one of {', '.join(KINDS)}")
+        if kind in FIXED_KINDS:
+            if self.mu is not None or self.best:
+                raise ValueError(f"{kind} does not take a parameter")
+        elif self.mu is None and not self.best:
+            raise ValueError(f"{kind} needs a parameter: {kind}:MU or {kind}:best")
+        elif self.best and self.mu is not None:
+            raise ValueError(f"{kind} takes a numeric mu or 'best', not both")
+        elif self.mu is not None and not math.isfinite(self.mu):
+            raise ValueError(f"{kind} needs a finite mu, got mu={self.mu!r}")
 
     @property
     def label(self) -> str:
@@ -80,30 +81,24 @@ class MethodSpec:
 def parse_method(text: str) -> MethodSpec:
     """Parse a method string such as "MAP", "T:0.8", or "S:best"."""
     head, sep, arg = text.strip().partition(":")
-    kind = head.upper()
-    if kind not in KINDS:
-        raise ValueError(f"unknown method {text!r}; expected one of {', '.join(KINDS)}")
-    if not sep:
-        if kind in RELAXED_KINDS:
-            raise ValueError(f"{kind} needs a parameter: {kind}:MU or {kind}:best")
-        return MethodSpec(kind)
-    if kind in FIXED_KINDS:
-        raise ValueError(f"{kind} does not take a parameter (got {text!r})")
-    if arg.lower() == "best":
-        return MethodSpec(kind, best=True)
+    if not sep or arg.lower() == "best":
+        return MethodSpec(head.upper(), best=bool(sep))
     try:
         mu = float(arg)
     except ValueError:
         raise ValueError(f"could not parse relaxation parameter {arg!r} in {text!r}")
-    return MethodSpec(kind, mu=mu)
+    return MethodSpec(head.upper(), mu=mu)
 
 
-def _require_angle(geom: PairGeometry):
+def _sines_squared(geom: PairGeometry) -> tuple[float, float]:
+    """sin^2 of the Friedrichs angle and of the largest principal angle.
+    A nested pair has no nonzero angle and no closed form: ValueError."""
     if geom.theta_F is None:
         raise ValueError(
             "one subspace is contained in the other (all principal angles zero); "
             "a single projection reaches the intersection, no iteration is needed"
         )
+    return math.sin(geom.theta_F) ** 2, math.sin(geom.theta_p) ** 2
 
 
 def best_parameter(kind: str, geom: PairGeometry) -> tuple[float | None, float]:
@@ -112,9 +107,7 @@ def best_parameter(kind: str, geom: PairGeometry) -> tuple[float | None, float]:
     For MAP/DR (no free parameter) returns (None, own rate); BT/AT match
     the best rate of S without knowing the angles.
     """
-    _require_angle(geom)
-    t_f = math.sin(geom.theta_F) ** 2
-    t_p = math.sin(geom.theta_p) ** 2
+    t_f, t_p = _sines_squared(geom)
     if kind == "T":
         return 2.0 / (1.0 + t_f), (1.0 - t_f) / (1.0 + t_f)
     if kind == "S":
@@ -148,12 +141,10 @@ def _subdominant_modulus(kind: str, mu: float, geom: PairGeometry) -> float:
     sin^2(theta) over [theta_F, theta_p] plus structural constants, so the
     maximum modulus is always attained at an endpoint.
     """
-    _require_angle(geom)
+    t_f, t_p = _sines_squared(geom)
     if mu == 0.0:
         # T_0 = R_0 = I and S_0 = P_U; no eigenvalue besides 1 and 0
         return 0.0
-    t_f = math.sin(geom.theta_F) ** 2
-    t_p = math.sin(geom.theta_p) ** 2
     if kind == "T":
         return max(abs(1.0 - mu * t_f), abs(1.0 - mu))
     if kind == "S":
@@ -248,30 +239,15 @@ class RatePrediction:
 
 def predict_rate(spec: MethodSpec, geom: PairGeometry) -> RatePrediction:
     """Predicted rate and convergence verdict for a method on a pair."""
-    _require_angle(geom)
     best_mu, best_rate = best_parameter(spec.kind, geom)
-    if spec.kind in ("BT", "AT"):
-        return RatePrediction(
-            method=spec.label,
-            mu=None,
-            gamma=best_rate,
-            convergent=True,
-            solves=True,
-            best_mu=best_mu,
-            best_rate=best_rate,
-        )
-    base_kind = _RELAXED_OF.get(spec.kind, spec.kind)
     mu = resolve_mu(spec, geom)
-    lo, hi = convergence_interval(base_kind, geom)
-    return RatePrediction(
-        method=spec.label,
-        mu=mu,
-        gamma=_subdominant_modulus(base_kind, mu, geom),
-        convergent=lo <= mu < hi,
-        solves=lo < mu < hi,
-        best_mu=best_mu,
-        best_rate=best_rate,
-    )
+    if mu is None:  # BT/AT choose their own step and always converge
+        gamma, convergent, solves = best_rate, True, True
+    else:
+        kind = _RELAXED_OF.get(spec.kind, spec.kind)
+        lo, hi = convergence_interval(kind, geom)
+        gamma, convergent, solves = _subdominant_modulus(kind, mu, geom), lo <= mu < hi, lo < mu < hi
+    return RatePrediction(spec.label, mu, gamma, convergent, solves, best_mu, best_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +294,8 @@ def iterate(
 
     R and DR monitor the P_V shadow of the orbit; all other schemes monitor
     the orbit itself.  The starting point counts as iteration 0.  Raises
-    DivergenceError if the monitored distance grows past 1e12 times its
-    starting value.
+    DivergenceError if the monitored distance grows past 1e12 times
+    max(1, its starting value).
 
     The orbit runs in the pair's principal coordinates (``geom.frame``):
     every scheme acts on one 2x2 block per nonzero angle and as a scalar on
@@ -348,64 +324,50 @@ def iterate(
     return IterationTrace(
         method=spec.label,
         mu=mu,
-        distances=orbit.distances(),
+        distances=np.frombuffer(orbit.distances),
         mu_history=mu_history,
         solved=orbit.solved,
-        iterations=orbit.steps if orbit.solved else None,
+        iterations=len(orbit.distances) - 1 if orbit.solved else None,
         x_final=frame.join(*coords),
     )
 
 
 class _Orbit:
     """The monitored distances of one run and its stopping rule: stop at
-    the first step within eps, raise DivergenceError past 1e12 times the
-    starting distance, give up after max_iter steps."""
+    the first step within eps, raise DivergenceError past 1e12 times
+    max(1, the starting distance), give up after max_iter steps."""
 
     def __init__(self, label: str, d0: float, eps: float, max_iter: int):
         self.label, self.eps, self.max_iter = label, eps, max_iter
         self.blowup = 1e12 * max(1.0, d0)
-        self.chunks = [np.array([d0])]
-        self.tail = array("d")  # distances recorded one step at a time
-        self.steps = 0
-        self.solved = d0 <= eps
+        self.distances = array("d", [d0])
 
-    @property
-    def running(self) -> bool:
-        return not self.solved and self.steps < self.max_iter
+    def stops(self, d: float) -> bool:
+        return d > self.blowup or d <= self.eps
+
+    def left(self) -> int:
+        """How many more steps the run may take."""
+        return 0 if self.stops(self.distances[-1]) else self.max_iter + 1 - len(self.distances)
 
     def extend(self, d: np.ndarray) -> int:
-        """Record the distances of the next steps up to the first that stops
-        the run; returns how many steps were taken."""
+        """Record the distances of the next steps up to the first that
+        ``stops`` the run; returns how many steps were taken."""
         hit = np.flatnonzero((d > self.blowup) | (d <= self.eps))
-        if hit.size:
-            d = d[: hit[0] + 1]
-        self.chunks.append(d)
-        self.steps += d.size
-        if hit.size:
-            if d[-1] > self.blowup:
-                raise self._diverged(d[-1])
-            self.solved = True
-        return d.size
+        taken = int(hit[0]) + 1 if hit.size else d.size
+        self.distances.frombytes(d[:taken].tobytes())
+        return taken
 
-    def catch_up(self) -> None:
-        """Apply the stopping rule to the distances a loop appended to
-        ``tail``, one per step, up to the first step that meets it."""
-        if not self.tail:
-            return
-        self.steps = len(self.tail)
-        if self.tail[-1] > self.blowup:
-            raise self._diverged(self.tail[-1])
-        self.solved = self.tail[-1] <= self.eps
-
-    def _diverged(self, d: float) -> DivergenceError:
-        return DivergenceError(
-            f"{self.label}: distance to the intersection reached {d:.3e} "
-            f"at iteration {self.steps}; the scheme does not converge here",
-            step=self.steps,
-        )
-
-    def distances(self) -> np.ndarray:
-        return np.concatenate(self.chunks + [np.frombuffer(self.tail)])
+    def settle(self) -> None:
+        """Raise DivergenceError if the last distance blew up, else record
+        whether the run ended within eps."""
+        steps, d = len(self.distances) - 1, self.distances[-1]
+        if d > self.blowup:
+            raise DivergenceError(
+                f"{self.label}: distance to the intersection reached {d:.3e} "
+                f"at iteration {steps}; the scheme does not converge here",
+                step=steps,
+            )
+        self.solved = d <= self.eps
 
 
 #: a chunk of linear steps holds at most this many block-step states
@@ -459,8 +421,7 @@ def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
     orbit = _Orbit(spec.label, float(monitored(state[:, :, None])[0]), eps, max_iter)
     size = _FIRST_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
-        while orbit.running:
-            m = min(size, max_iter - orbit.steps)
+        while m := min(size, orbit.left()):
             states = np.empty((rows, 2, m + 1))
             states[:, :, 0] = state
             h, i = 1, 0
@@ -472,6 +433,7 @@ def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
                 h, i = h + k, i + 1
             state = states[:, :, orbit.extend(monitored(states[:, :, 1:]))]
             size = min(2 * size, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows))
+    orbit.settle()
 
     along_u = along_u.copy()
     along_u[s:] = state[:-1, 0]
@@ -503,7 +465,7 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
     bt = spec.kind == "BT"
     orbit = _Orbit(spec.label, math.sqrt(float(a @ a + b @ b) + other), eps, max_iter)
     mus = array("d")
-    while orbit.running and not (bt and mus):
+    for _ in range(orbit.left()):
         wu = sn * (sn * a - c * b)
         bb = float(b @ b)
         ww, wx = float(wu @ wu), float(wu @ a)
@@ -519,16 +481,17 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
             a, b = a - mu * wu, (1.0 - mu) * b
             other, scale = other * (1.0 - mu) ** 2, scale * (1.0 - mu)
         mus.append(mu)
-        orbit.tail.append(math.sqrt(float(a @ a + b @ b) + other))
-        orbit.catch_up()
+        orbit.distances.append(d := math.sqrt(float(a @ a + b @ b) + other))
+        if bt or orbit.stops(d):  # BT takes its later steps in the moment loop
+            break
     if bt:
         t = sn * sn
         c2, neg_t = c * c, -t
         moments = np.stack([np.ones_like(t), t, t * t])
         g, sq, out = np.empty_like(t), a * a, np.empty(3)
         m0, m1, m2 = (moments @ sq).tolist()
-        tail, eps, blowup = orbit.tail, orbit.eps, orbit.blowup
-        for _ in range(max_iter - orbit.steps if orbit.running else 0):
+        distances, stops = orbit.distances, orbit.stops
+        for _ in range(orbit.left()):
             if m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2:
                 mu = 1.0
                 a *= c2
@@ -541,10 +504,10 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
             m0, m1, m2 = np.dot(moments, sq, out=out).tolist()
             d = math.sqrt(m0)
             mus.append(mu)
-            tail.append(d)
-            if d > blowup or d <= eps:
+            distances.append(d)
+            if stops(d):
                 break
-        orbit.catch_up()
+    orbit.settle()
     along_u = along_u.copy()
     along_u[s:] = a
     return orbit, tuple(mus), (along_u, b, in_extra * scale, rest * scale)
@@ -580,9 +543,7 @@ def _adaptive_bound_ratio(
     round-off floor of the line-search step size, which stalls the orbit
     near sqrt(eps) relative accuracy.
     """
-    _require_angle(geom)
-    t_f = math.sin(geom.theta_F) ** 2
-    t_p = math.sin(geom.theta_p) ** 2
+    t_f, t_p = _sines_squared(geom)
     gamma = (t_p - t_f) / (t_f + t_p)
     cos_f = math.cos(geom.theta_F)
 

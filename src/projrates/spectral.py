@@ -135,8 +135,8 @@ def _cluster_index(a: np.ndarray, value: complex, mult: int, rank_tol: float) ->
     b = a.astype(complex) - value * np.eye(n)
     sv = np.linalg.svd(b, compute_uv=False)
     smax = float(np.amax(sv))  # operator_norm(b), from the call the k = 1 test reads
-    if smax == 0.0:
-        return 1  # A is value*I
+    if smax <= rank_tol * abs(value):
+        return 1  # A is value*I up to rounding
     bk = b
     for k in range(1, mult + 1):
         if k > 1:
@@ -326,18 +326,22 @@ def _projector_onto_kernel_along_range(
     ``abs_tol`` is the absolute singular-value cutoff separating ran(b)
     from ker(b); callers scale it to the natural magnitude of b.  Without
     it the cutoff is ``rank_tol`` times the largest singular value of b,
-    read from the SVD that splits it.
+    read from the SVD that splits it, but at least ``rank_tol``: b = A - I
+    may be pure rounding noise.  The error carries the kernel dimension
+    found as ``kernel_dim``.
     """
     n = b.shape[0]
     u, s, vh = np.linalg.svd(b)
     if abs_tol is None:
-        abs_tol = rank_tol * float(s[0])
+        abs_tol = rank_tol * max(float(s[0]), 1.0)
     r = int(np.count_nonzero(s > abs_tol))
     if n - r != kdim:
-        raise SpectralError(
+        err = SpectralError(
             f"kernel dimension {n - r} does not match the algebraic multiplicity "
             f"{kdim}; spectrum too poorly separated for a reliable projector"
         )
+        err.kernel_dim = n - r
+        raise err
     kernel = vh[r:].conj().T  # columns span ker(b)
     ran = u[:, :r]  # columns span ran(b)
     basis = np.hstack([kernel, ran])
@@ -416,7 +420,11 @@ def classify_convergence(
                 # an eigenvalue clustered at 1 whose kernel does not show up
                 # at the rank tolerance: numerically indistinguishable from a
                 # modulus just inside the circle, so refuse to classify it
-                notes.append(f"borderline: {exc}")
+                notes.append(
+                    f"borderline: {values[unit]} lies within cluster_tol="
+                    f"{spectrum.cluster_tol:g} of 1 but the value is not 1"
+                    if exc.kernel_dim == 0 else f"borderline: {exc}"
+                )
     elif rho < 1.0 - tol_circle:
         limit = np.zeros((n, n))
     convergent = limit is not None
@@ -471,8 +479,9 @@ def spectral_projectors(
     for c in _clusters(a, spectrum, range(len(spectrum.values))).values():
         b = a.astype(complex) - c.value * np.eye(n)
         bk = np.linalg.matrix_power(b, c.index)
-        # cutoff at the power's natural scale ||B||^k, matching the index search
-        abs_tol = spectrum.rank_tol * operator_norm(b) ** c.index
+        # cutoff at the power's natural scale ||B||^k, matching the index
+        # search, and at least |value|^k when B is pure rounding noise
+        abs_tol = spectrum.rank_tol * max(operator_norm(b), abs(c.value)) ** c.index
         try:
             proj = _projector_onto_kernel_along_range(bk, c.algebraic_multiplicity, abs_tol)
         except SpectralError as exc:

@@ -443,12 +443,19 @@ def full_classify(
             rt = default_rank_tol(n) if rank_tol is None else rank_tol
             b = a - np.eye(n)
             try:
+                # at least rank_tol: A - I may be pure rounding noise
                 limit = _projector_onto_kernel_along_range(
-                    b, unit.algebraic_multiplicity, rt * operator_norm(b)
+                    b, unit.algebraic_multiplicity, rt * max(operator_norm(b), 1.0)
                 )
             except SpectralError as exc:
                 convergent = False
-                notes.append(f"borderline: {exc}")
+                if exc.kernel_dim == 0:
+                    notes.append(
+                        f"borderline: {unit.value} lies within cluster_tol="
+                        f"{struct.cluster_tol:g} of 1 but the value is not 1"
+                    )
+                else:
+                    notes.append(f"borderline: {exc}")
             else:
                 limit = np.asarray(limit, dtype=float)
         else:

@@ -71,6 +71,9 @@ def test_grid_labels():
         dict(primary_bins=3),
         dict(primary_bins=((0.1, "x"),)),
         dict(primary_bins=((0.1, 0.2, 0.3),)),
+        dict(eps=math.inf),
+        dict(start_norm=math.inf),
+        dict(eps=math.nan),
     ],
 )
 def test_grid_rejects_bad_config(kwargs):

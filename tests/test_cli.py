@@ -118,6 +118,18 @@ def test_analyze_overflowing_norm_exits_1(tmp_path, capsys):
 # angles
 
 
+def test_analyze_value_clustered_at_one_names_its_distance(tmp_path, capsys):
+    # 1 - 5e-8 clusters with 1 (cluster_tol 1e-7) but A - I has no kernel
+    path = tmp_path / "near.mat"
+    write_matrix(path, np.diag([1.0 - 5e-8, 0.5]))
+    assert main(["analyze", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "status: not_convergent" in out
+    assert ("warning: borderline: (0.99999995+0j) lies within cluster_tol=1e-07 of 1 "
+            "but the value is not 1\n") in out
+    assert "kernel dimension" not in out
+
+
 def test_angles_output(files, capsys):
     _, _, _, u_file, v_file = files
     assert main(["angles", str(u_file), str(v_file)]) == 0
@@ -305,6 +317,16 @@ def test_solve_non_finite_mu_exits_1(files, capsys, method, mu):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("method", ["X", "T", "MAP:2", "BT:abc", "T:abc"])
+def test_solve_bad_method_exits_1(files, capsys, method):
+    _, _, _, u_file, v_file = files
+    assert main(["solve", str(u_file), str(v_file), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert method.partition(":")[0] in captured.err
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_solve_bad_x0_norm_exits_1(files, capsys, value):
     _, _, _, u_file, v_file = files
@@ -427,6 +449,15 @@ def test_bench_mistyped_config_names_field(tmp_path, capsys):
     cfg.write_text(json.dumps({"pairs_per_cell": "3"}))
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "pairs_per_cell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["eps", "start_norm"])
+def test_bench_non_finite_config_names_field_before_out(tmp_path, capsys, field):
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(json.dumps({field: math.inf}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert f"{field} must be finite and > 0, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_report_matches_bench_summary(tiny_config, tmp_path, capsys):

@@ -191,3 +191,29 @@ def test_frame_is_orthonormal_and_block_diagonal(angles):
     assert np.abs(p_v - geom.P_V).max() <= 1e-14
     x = np.random.default_rng(0).standard_normal(16)
     np.testing.assert_allclose(f.join(*f.split(x)), x, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_steps_record_only_the_start(kind, eps):
+    geom = pair_geometry(*canonical_pair(12, [0.0, 0.4, 0.9], q=4, seed=5))
+    spec = MethodSpec(kind, best=True) if kind in ("T", "S", "R") else MethodSpec(kind)
+    trace = iterate(spec, geom, np.random.default_rng(2).standard_normal(12), eps=eps, max_iter=0)
+    assert len(trace.distances) == 1
+    assert trace.solved == (trace.distances[0] <= eps)
+    assert trace.iterations == (0 if trace.solved else None)
+
+
+@pytest.mark.parametrize("stop", [projrates.methods._FIRST_CHUNK, projrates.methods._FIRST_CHUNK + 1])
+def test_linear_run_stopping_at_a_chunk_edge_matches_dense_oracle(stop):
+    """A MAP run that stops on the last step of the first chunk, or on the
+    first step of the second, takes the dense loop's steps."""
+    geom = pair_geometry(*canonical_pair(12, [0.0, 0.2, 0.9], q=4, seed=5))
+    x0 = np.random.default_rng(3).standard_normal(12)
+    d = iterate(MethodSpec("MAP"), geom, x0, eps=0.0, max_iter=stop + 1).distances
+    eps = math.sqrt(d[stop - 1] * d[stop])  # strictly between the two distances
+    got = iterate(MethodSpec("MAP"), geom, x0, eps=eps)
+    ref = oracles.dense_iterate(MethodSpec("MAP"), oracles.extended_geometry(geom), x0, eps=eps)
+    assert got.iterations == ref.iterations == stop
+    np.testing.assert_allclose(got.distances, ref.distances, rtol=1e-12)
+    np.testing.assert_allclose(got.x_final, ref.x_final, rtol=0, atol=1e-12 * np.linalg.norm(x0))

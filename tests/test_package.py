@@ -1,8 +1,13 @@
 import csv
+import importlib
 import importlib.util
+import sys
+import tomllib
 import types
 import warnings
 from pathlib import Path
+
+import pytest
 
 import projrates
 
@@ -61,3 +66,16 @@ def test_run_benchmark_script_writes_every_profile(tmp_path, monkeypatch, capsys
         with open(out / "records.csv", newline="") as fh:
             assert {row["method"] for row in csv.DictReader(fh)} == set(methods)
     capsys.readouterr()
+
+
+def test_console_script_entry_point(monkeypatch, capsys):
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == projrates.__version__
+    module, _, attr = project["scripts"]["projrates"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["projrates", "--version"])
+    with pytest.raises(SystemExit) as err:
+        entry()
+    assert err.value.code == 0
+    assert capsys.readouterr().out == f"projrates {projrates.__version__}\n"

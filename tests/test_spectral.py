@@ -254,6 +254,26 @@ def test_defective_subdominant_is_suboptimal():
     assert not report.optimal_rate_attained
 
 
+@pytest.mark.parametrize("c, status", [
+    (1.0, "convergent"), (0.5, "convergent"), (-0.5, "convergent"), (2.0, "not_convergent"),
+])
+def test_scalar_matrix_up_to_rounding(c, status):
+    """c Q Q^T is c I only up to rounding, so A - cI is pure noise: one
+    semisimple cluster, whose projector is I."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    a = c * (q @ q.T)
+    assert np.any(a != c * np.eye(3))
+    report = classify_convergence(a)
+    assert report.status == status
+    if status == "convergent":
+        expected = np.eye(3) if c == 1.0 else np.zeros((3, 3))
+        np.testing.assert_allclose(report.limit, expected, rtol=0, atol=1e-15)
+    (cluster,) = eigen_structure(a).clusters
+    assert (cluster.algebraic_multiplicity, cluster.index) == (3, 1)
+    ((_, projector),) = spectral_projectors(a)
+    np.testing.assert_allclose(projector, np.eye(3), rtol=0, atol=1e-15)
+
+
 def test_identity_converges_immediately():
     report = classify_convergence(np.eye(3))
     assert report.status == "convergent"
