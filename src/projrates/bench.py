@@ -318,15 +318,9 @@ class BenchmarkTable:
         return written
 
 
-def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
-    """Run every method on every seeded (cell, pair, start) instance.
-
-    ``methods`` may hold MethodSpec objects, method strings, or
-    ``(label, rule)`` pairs whose ``rule(geom)`` returns the MethodSpec to
-    run on each sampled pair; records carry the label.  All methods see
-    identical pairs and starts.  A method whose iteration diverges or hits
-    max_iter records the instance as unsolved at max_iter.
-    """
+def method_rules(methods) -> list:
+    """``run_grid``'s methods as ``(label, rule)`` pairs, validated before
+    any pair is sampled: ValueError for an unknown method or none at all."""
     rules = []
     for m in methods:
         if isinstance(m, tuple):
@@ -336,6 +330,19 @@ def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
             rules.append((spec.label, lambda geom, spec=spec: spec))
     if not rules:
         raise ValueError("need at least one method")
+    return rules
+
+
+def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
+    """Run every method on every seeded (cell, pair, start) instance.
+
+    ``methods`` may hold MethodSpec objects, method strings, or
+    ``(label, rule)`` pairs whose ``rule(geom)`` returns the MethodSpec to
+    run on each sampled pair; records carry the label.  All methods see
+    identical pairs and starts.  A method whose iteration diverges or hits
+    max_iter records the instance as unsolved at max_iter.
+    """
+    rules = method_rules(methods)
     records = []
     n = grid.ambient_dim
     for i in range(len(grid.primary_bins)):

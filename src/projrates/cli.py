@@ -21,7 +21,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import CategoryGrid, read_records_csv, run_grid, start_vector, table_from_records
+from .bench import (
+    CategoryGrid,
+    method_rules,
+    read_records_csv,
+    run_grid,
+    start_vector,
+    table_from_records,
+)
 from .matio import read_matrix, read_vector
 from .methods import (
     DivergenceError,
@@ -223,11 +230,11 @@ def cmd_bench(args) -> int:
             grid = CategoryGrid.from_dict(json.load(fh))
     else:
         grid = CategoryGrid()
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    rules = method_rules(m for m in args.methods.split(",") if m.strip())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fails before the grid runs
     try:
-        table = run_grid(grid, methods, master_seed=args.seed)
+        table = run_grid(grid, rules, master_seed=args.seed)
     except RuntimeError as exc:  # sample_pair: a re-measured pair left its cell
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -485,32 +485,83 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
         if bt or orbit.stops(d):  # BT takes its later steps in the moment loop
             break
     if bt:
-        t = sn * sn
-        c2, neg_t = c * c, -t
-        moments = np.stack([np.ones_like(t), t, t * t])
-        g, sq, out = np.empty_like(t), a * a, np.empty(3)
-        m0, m1, m2 = (moments @ sq).tolist()
-        distances, stops = orbit.distances, orbit.stops
-        for _ in range(orbit.left()):
-            if m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2:
-                mu = 1.0
-                a *= c2
-            else:
-                mu = m1 / m2
-                np.multiply(neg_t, mu, out=g)
-                g += 1.0
-                a *= g
-            np.multiply(a, a, out=sq)
-            m0, m1, m2 = np.dot(moments, sq, out=out).tolist()
-            d = math.sqrt(m0)
-            mus.append(mu)
-            distances.append(d)
-            if stops(d):
-                break
+        moment_loop = _bt_float_loop if a.size <= _FLOAT_LOOP_MAX_K else _bt_array_loop
+        a = moment_loop(a, sn, c, fixed, orbit, mus)
     orbit.settle()
     along_u = along_u.copy()
     along_u[s:] = a
     return orbit, tuple(mus), (along_u, b, in_extra * scale, rest * scale)
+
+
+#: BT's moment loop runs on Python floats while a pair has at most this many
+#: nonzero angles.  There numpy's fixed cost per call outweighs the work on
+#: K floats.  The float loop stays ahead up to K = 22 (BENCH_bt.json), but
+#: by only 4-10 % from K = 20 on; at 16 its lead is 15 %.
+_FLOAT_LOOP_MAX_K = 16
+
+
+def _bt_float_loop(a, sn, c, fixed, orbit, mus):
+    """BT's steps after the first, on Python floats: a step scales a_k by
+    1 - mu t_k, t_k = sin^2(theta_k), with mu = m1 / m2 from the moments
+    m_i = sum(t^i a^2) summed in index order, or by cos^2(theta_k) with
+    mu = 1 when the search direction is negligible.  Returns the final a."""
+    t = (sn * sn).tolist()
+    rows = list(zip(t, [tk * tk for tk in t], (c * c).tolist()))
+    a = a.tolist()
+    m0 = m1 = m2 = 0.0
+    for ak, (tk, ttk, _) in zip(a, rows):
+        sq = ak * ak
+        m0 += sq
+        m1 += tk * sq
+        m2 += ttk * sq
+    distances, stops = orbit.distances, orbit.stops
+    for _ in range(orbit.left()):
+        small = m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2
+        mu = 1.0 if small else m1 / m2
+        m0 = m1 = m2 = 0.0
+        scaled = []
+        for ak, (tk, ttk, c2k) in zip(a, rows):
+            ak *= c2k if small else 1.0 - tk * mu
+            scaled.append(ak)
+            sq = ak * ak
+            m0 += sq
+            m1 += tk * sq
+            m2 += ttk * sq
+        a = scaled
+        d = math.sqrt(m0)
+        mus.append(mu)
+        distances.append(d)
+        if stops(d):
+            break
+    return np.array(a)
+
+
+def _bt_array_loop(a, sn, c, fixed, orbit, mus):
+    """``_bt_float_loop`` on numpy arrays, for many planes; the moments are
+    one matrix-vector product."""
+    t = sn * sn
+    c2, neg_t = c * c, -t
+    moments = np.stack([np.ones_like(t), t, t * t])
+    g, sq, out = np.empty_like(t), a * a, np.empty(3)
+    m0, m1, m2 = (moments @ sq).tolist()
+    distances, stops = orbit.distances, orbit.stops
+    for _ in range(orbit.left()):
+        if m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2:
+            mu = 1.0
+            a *= c2
+        else:
+            mu = m1 / m2
+            np.multiply(neg_t, mu, out=g)
+            g += 1.0
+            a *= g
+        np.multiply(a, a, out=sq)
+        m0, m1, m2 = np.dot(moments, sq, out=out).tolist()
+        d = math.sqrt(m0)
+        mus.append(mu)
+        distances.append(d)
+        if stops(d):
+            break
+    return a
 
 
 def fit_rate(distances: np.ndarray, floor: float = 1e-13) -> float | None:

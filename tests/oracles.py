@@ -4,12 +4,14 @@ against.
 Everything here deliberately avoids the package's own code paths:
 spectra come from characteristic-polynomial roots or from explicit
 construction, projectors from normal equations, rates from renormalized
-matrix squaring, statistics from first-principles formulas.  Two
+matrix squaring, statistics from first-principles formulas.  Four
 exceptions keep a slow path of the package as the reference for its fast
 one: ``dense_iterate``, the projection iteration as a dense loop over the
 pair's projectors (``build_operator`` and the line-search step
 ``adaptive_step``), which checks the principal-coordinate engine behind
-``iterate``; and ``full_classify``, the convergence verdict over the fully
+``iterate``; ``bt_moment_loop``, BT in principal coordinates on numpy
+arrays, which checks the float loop BT runs on pairs with few planes bit
+for bit; ``full_classify``, the convergence verdict over the fully
 resolved ``eigen_structure``, which checks the Jordan indices
 ``classify_convergence`` resolves on demand; and ``loop_parse_matrix``, the
 token-by-token matrix parser, which checks the per-row fast path of
@@ -346,6 +348,64 @@ def dense_iterate(
         solved=solved,
         iterations=n if solved else None,
         x_final=x,
+    )
+
+
+def bt_moment_loop(
+    geom: PairGeometry, x0: np.ndarray, eps: float = 0.01, max_iter: int = 100000
+) -> IterationTrace:
+    """BT as ``iterate`` runs it in the pair's principal coordinates, with
+    each moment sum(t^i a^2) taken as the last entry of an ``np.cumsum``
+    row, a sum in index order.
+
+    The first step repeats the engine's expressions, so both enter the
+    moment loop with the same bits.  After it a step scales the U-plane
+    coordinates a by 1 - mu t, mu = m1 / m2 and t = sin^2 of the angles, or
+    by cos^2 where m2 <= (1e-14 sqrt(m0 + |U ∩ V part|^2))^2 (mu = 1).
+    """
+    frame = geom.frame
+    along_u, b, in_extra, rest = frame.split(np.asarray(x0, dtype=float).ravel())
+    s, c, sn = frame.s, frame.cos, frame.sin
+    a = along_u[s:].copy()
+    fixed = float(along_u[:s] @ along_u[:s])
+    other = float(in_extra @ in_extra + rest @ rest)
+    distances = [math.sqrt(float(a @ a + b @ b) + other)]
+    mus: list[float] = []
+    scale = 1.0
+    if max_iter > 0 and distances[0] > eps:
+        wu = sn * (sn * a - c * b)
+        ww, wx = float(wu @ wu), float(wu @ a)
+        if ww <= (1e-14 * math.sqrt(float(a @ a) + float(b @ b) + other + fixed)) ** 2:
+            mu, a = 1.0, c * (c * a + sn * b)
+        else:
+            mu = wx / ww
+            a = a - mu * wu
+        b, scale = np.zeros_like(b), 0.0
+        mus.append(mu)
+        distances.append(math.sqrt(float(a @ a)))
+    t = sn * sn
+    rows = np.stack([np.ones_like(t), t, t * t])
+    m0, m1, m2 = np.cumsum(rows * (a * a), axis=1)[:, -1]
+    while len(mus) < max_iter and distances[-1] > eps:
+        if m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2:
+            mu, a = 1.0, a * (c * c)
+        else:
+            mu = float(m1 / m2)
+            a = a * (1.0 - t * mu)
+        m0, m1, m2 = np.cumsum(rows * (a * a), axis=1)[:, -1]
+        mus.append(mu)
+        distances.append(math.sqrt(m0))
+    along_u = along_u.copy()
+    along_u[s:] = a
+    solved = distances[-1] <= eps
+    return IterationTrace(
+        method="BT",
+        mu=None,
+        distances=np.asarray(distances),
+        mu_history=tuple(mus),
+        solved=solved,
+        iterations=len(mus) if solved else None,
+        x_final=frame.join(along_u, b, in_extra * scale, rest * scale),
     )
 
 

@@ -460,6 +460,17 @@ def test_bench_non_finite_config_names_field_before_out(tmp_path, capsys, field)
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("methods, message", [
+    ("X", "unknown method 'X'"),
+    (" , ", "need at least one method"),
+])
+def test_bench_bad_methods_exit_1_before_out(tmp_path, capsys, methods, message):
+    out = tmp_path / "d" / "out"
+    assert main(["bench", "--methods", methods, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_report_matches_bench_summary(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     main(["bench", "--config", str(tiny_config), "--seed", "7",

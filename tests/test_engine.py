@@ -139,6 +139,74 @@ def test_engine_matches_dense_oracle(case):
                       <= (1e-9 + unit * gain[1:]) * np.abs(ref.mu_history))
 
 
+FLOAT_LOOP_MAX_K = projrates.methods._FLOAT_LOOP_MAX_K
+
+
+@st.composite
+def float_loop_runs(draw):
+    """A BT run on a pair with 1 to ``_FLOAT_LOOP_MAX_K`` nonzero angles.
+
+    Angles as ``runs`` draws them, plus angles below 1e-8, whose sin^4 is
+    under the 1e-28 of the small-direction rule; a start in U skips the
+    first step's projection; a large U ∩ V part raises the rule's floor so
+    that the rule fires once BT has shrunk the rest.  max_iter 0 and 1
+    stop before and at the first step; eps 0 runs to max_iter.
+    """
+    k = draw(st.integers(1, FLOAT_LOOP_MAX_K))
+    s = draw(st.integers(0, 2))
+    nonzero = st.one_of(angle.filter(lambda t: t > 0.0), st.floats(-12.0, -8.0).map(lambda e: 10.0**e))
+    pool = draw(st.lists(nonzero, min_size=1, max_size=k))
+    angles = [0.0] * s + sorted(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+    p = s + k
+    q = p + draw(st.integers(0, 2))
+    n = p + q + draw(st.integers(0, 2))
+    geom = pair_geometry(*canonical_pair(n, angles, q, seed=draw(st.integers(0, 2**32 - 1))))
+    assume(geom.theta_F is not None)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.standard_normal(n) * draw(st.floats(0.5, 10.0))
+    if draw(st.booleans()):
+        x0 = geom.P_U @ x0
+    f = geom.frame
+    if f.s and draw(st.booleans()):
+        x0 = x0 + f.u[:, : f.s] @ rng.standard_normal(f.s) * 10.0 ** draw(st.floats(3.0, 9.0))
+    eps = 10.0 ** draw(st.floats(-12.0, 0.0)) if draw(st.integers(0, 3)) else 0.0
+    return geom, x0, eps, draw(st.integers(0, 400))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(float_loop_runs())
+def test_bt_float_loop_matches_array_oracle_bit_for_bit(case):
+    """Distances, mus, the final point and the count equal those of
+    ``oracles.bt_moment_loop``, whose moments are numpy sums in the same
+    index order."""
+    geom, x0, eps, max_iter = case
+    got = iterate(MethodSpec("BT"), geom, x0, eps=eps, max_iter=max_iter)
+    ref = oracles.bt_moment_loop(geom, x0, eps=eps, max_iter=max_iter)
+    assert got.solved == ref.solved
+    assert got.iterations == ref.iterations
+    assert got.distances.tobytes() == ref.distances.tobytes()
+    assert got.mu_history == ref.mu_history
+    assert got.x_final.tobytes() == ref.x_final.tobytes()
+
+
+@pytest.mark.parametrize("k", [FLOAT_LOOP_MAX_K, FLOAT_LOOP_MAX_K + 1])
+def test_bt_counts_match_dense_oracle_at_the_float_loop_cutoff(k, monkeypatch):
+    """On either side of the cutoff, BT takes the dense loop's steps: the
+    float loop at K = cutoff, the array loop one plane above."""
+    loops = []
+    for name in ("_bt_float_loop", "_bt_array_loop"):
+        loop = getattr(projrates.methods, name)
+        monkeypatch.setattr(projrates.methods, name,
+                            lambda *args, name=name, loop=loop: loops.append(name) or loop(*args))
+    geom = pair_geometry(*canonical_pair(60, np.linspace(0.05, 1.4, k), k + 2, seed=k))
+    x0 = np.random.default_rng(k).standard_normal(60) * 10.0
+    got = iterate(MethodSpec("BT"), geom, x0, eps=1e-6)
+    ref = oracles.dense_iterate(MethodSpec("BT"), oracles.extended_geometry(geom), x0, eps=1e-6)
+    assert loops == ["_bt_float_loop" if k <= FLOAT_LOOP_MAX_K else "_bt_array_loop"]
+    assert got.solved and ref.solved
+    assert got.iterations == ref.iterations
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_engine_builds_no_operator(kind, monkeypatch):
     def refuse(*args):
