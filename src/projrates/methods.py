@@ -19,6 +19,7 @@ the stopping rule "distance of the monitored point to U ∩ V <= eps".
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -495,8 +496,9 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
 
 #: BT's moment loop runs on Python floats while a pair has at most this many
 #: nonzero angles.  There numpy's fixed cost per call outweighs the work on
-#: K floats.  The float loop stays ahead up to K = 22 (BENCH_bt.json), but
-#: by only 4-10 % from K = 20 on; at 16 its lead is 15 %.
+#: K floats.  The float loop stays ahead up to K = 32 (BENCH_bt.json); the
+#: cutoff stays lower because above it the moments come from ``np.dot``,
+#: whose last bits differ, so moving it would change BT's traces there.
 _FLOAT_LOOP_MAX_K = 16
 
 
@@ -504,36 +506,69 @@ def _bt_float_loop(a, sn, c, fixed, orbit, mus):
     """BT's steps after the first, on Python floats: a step scales a_k by
     1 - mu t_k, t_k = sin^2(theta_k), with mu = m1 / m2 from the moments
     m_i = sum(t^i a^2) summed in index order, or by cos^2(theta_k) with
-    mu = 1 when the search direction is negligible.  Returns the final a."""
-    t = (sn * sn).tolist()
-    rows = list(zip(t, [tk * tk for tk in t], (c * c).tolist()))
-    a = a.tolist()
-    m0 = m1 = m2 = 0.0
-    for ak, (tk, ttk, _) in zip(a, rows):
-        sq = ak * ak
-        m0 += sq
-        m1 += tk * sq
-        m2 += ttk * sq
-    distances, stops = orbit.distances, orbit.stops
-    for _ in range(orbit.left()):
-        small = m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2
-        mu = 1.0 if small else m1 / m2
-        m0 = m1 = m2 = 0.0
-        scaled = []
-        for ak, (tk, ttk, c2k) in zip(a, rows):
-            ak *= c2k if small else 1.0 - tk * mu
-            scaled.append(ak)
-            sq = ak * ak
-            m0 += sq
-            m1 += tk * sq
-            m2 += ttk * sq
-        a = scaled
-        d = math.sqrt(m0)
-        mus.append(mu)
-        distances.append(d)
+    mu = 1 when the search direction is negligible.  The steps run in the
+    straight-line kernel for the pair's K (``_bt_kernel``).  Returns the
+    final a."""
+    t = sn * sn
+    kernel = _bt_kernel(a.size)
+    a = kernel(a.tolist(), t.tolist(), (t * t).tolist(), (c * c).tolist(), fixed,
+               orbit.left(), orbit.stops, mus.append, orbit.distances.append)
+    return np.array(a)
+
+
+#: the float loop for K planes unrolled into straight-line code on locals:
+#: per plane k, a{k}, its square s{k}, t{k}, tt{k} = t{k}^2 and cc{k} = cos^2.
+_BT_KERNEL = """\
+def kernel(a, t, tt, cc, fixed, steps, stops, mus, distances):
+    [{a}] = a
+    [{t}] = t
+    [{tt}] = tt
+    [{cc}] = cc
+    {square}
+    m0 = {m0}
+    m1 = {m1}
+    m2 = {m2}
+    for _ in range(steps):
+        if m2 <= (1e-14 * sqrt(m0 + fixed)) ** 2:
+            mu = 1.0
+            {shrink}
+        else:
+            mu = m1 / m2
+            {step}
+        {square}
+        m0 = {m0}
+        m1 = {m1}
+        m2 = {m2}
+        d = sqrt(m0)
+        mus(mu)
+        distances(d)
         if stops(d):
             break
-    return np.array(a)
+    return [{a}]
+"""
+
+
+@functools.cache
+def _bt_kernel(k: int):
+    """``_BT_KERNEL`` for k planes, compiled on first use (at most
+    ``_FLOAT_LOOP_MAX_K`` + 1 of them).  Each moment is a left-to-right sum
+    over the planes in index order; its terms are never negative, so it
+    equals the same sum started from 0.0."""
+    def each(template, sep="; "):
+        return sep.join(template.format(k=i) for i in range(k))
+
+    source = _BT_KERNEL.format(
+        a=each("a{k}", ", "), t=each("t{k}", ", "), tt=each("tt{k}", ", "), cc=each("cc{k}", ", "),
+        square=each("s{k} = a{k} * a{k}") or "pass",
+        m0=each("s{k}", " + ") or "0.0",
+        m1=each("t{k} * s{k}", " + ") or "0.0",
+        m2=each("tt{k} * s{k}", " + ") or "0.0",
+        shrink=each("a{k} *= cc{k}") or "pass",
+        step=each("a{k} *= 1.0 - t{k} * mu") or "pass",
+    )
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, f"<BT kernel, K = {k}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _bt_array_loop(a, sn, c, fixed, orbit, mus):

@@ -109,9 +109,10 @@ def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
         qu, qv = qv, qu
     p = qu.shape[1]
 
-    cosines = np.linalg.svd(qu.T @ qv, compute_uv=False)
+    overlap = qu.T @ qv
+    cosines = np.linalg.svd(overlap, compute_uv=False)
     cosines = np.clip(cosines, 0.0, 1.0)  # descending: angles ascending
-    residual = qv - qu @ (qu.T @ qv)
+    residual = qv - qu @ overlap
     sines = np.sort(np.linalg.svd(residual, compute_uv=False))[:p]
     sines = np.clip(sines, 0.0, 1.0)
 

@@ -207,6 +207,25 @@ def test_bt_counts_match_dense_oracle_at_the_float_loop_cutoff(k, monkeypatch):
     assert got.iterations == ref.iterations
 
 
+@pytest.mark.parametrize("angles, q, n", [([0.0], 1, 3), ([0.0, 0.0], 4, 9), ([0.0, 0.0, 0.0], 3, 6)])
+def test_bt_on_a_nested_pair_matches_dense_oracle(angles, q, n, monkeypatch):
+    """U inside V: no nonzero angle, so BT's first step lands in U ∩ V and
+    the moment loop gets K = 0 planes."""
+    planes = []
+    kernel = projrates.methods._bt_kernel
+    monkeypatch.setattr(projrates.methods, "_bt_kernel", lambda k: planes.append(k) or kernel(k))
+    geom = pair_geometry(*canonical_pair(n, angles, q, seed=4))
+    assert geom.theta_F is None
+    x0 = np.random.default_rng(n).standard_normal(n) * 3.0
+    got = iterate(MethodSpec("BT"), geom, x0, eps=1e-6)
+    ref = oracles.dense_iterate(MethodSpec("BT"), oracles.extended_geometry(geom), x0, eps=1e-6)
+    assert planes == [0]
+    assert got.solved and ref.solved
+    assert got.iterations == ref.iterations == 1
+    assert got.mu_history == ref.mu_history
+    np.testing.assert_allclose(got.distances, ref.distances, rtol=1e-14, atol=1e-14 * np.linalg.norm(x0))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_engine_builds_no_operator(kind, monkeypatch):
     def refuse(*args):

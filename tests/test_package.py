@@ -1,6 +1,8 @@
 import csv
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import tomllib
 import types
@@ -30,6 +32,19 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+    for k in range(projrates.methods._FLOAT_LOOP_MAX_K + 1):  # BT's generated kernels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projrates.methods._bt_kernel.__wrapped__(k)
+
+
+def test_import_compiles_no_bt_kernel():
+    """BT's kernels are compiled on first use, none at import."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = "import projrates; print(projrates.methods._bt_kernel.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def test_rate_sweep_script_writes_csv(tmp_path):
