@@ -344,6 +344,8 @@ class _Orbit:
         self.distances = array("d", [d0])
 
     def stops(self, d: float) -> bool:
+        """The stopping rule; ``extend`` and BT's kernel (``_BT_KERNEL``)
+        spell it out inline."""
         return d > self.blowup or d <= self.eps
 
     def left(self) -> int:
@@ -496,10 +498,17 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
 
 #: BT's moment loop runs on Python floats while a pair has at most this many
 #: nonzero angles.  There numpy's fixed cost per call outweighs the work on
-#: K floats.  The float loop stays ahead up to K = 32 (BENCH_bt.json); the
+#: K floats.  The float loop stays ahead up to K = 32 with every plane live,
+#: and past K = 48 once half the planes have dropped (BENCH_bt.json); the
 #: cutoff stays lower because above it the moments come from ``np.dot``,
 #: whose last bits differ, so moving it would change BT's traces there.
 _FLOAT_LOOP_MAX_K = 16
+#: steps per call of BT's kernel; planes at 0.0 drop out between calls
+_SEGMENT = 1024
+#: the kernel's cheap pre-test: m2 above this times m0 + fixed is above the
+#: small-direction bound (1e-14 sqrt(m0 + fixed))^2 too, for that rounds to
+#: at most 1e-28 (1 + 8 u) (m0 + fixed), u = 2^-53, subnormals included
+_SMALL = 1e-28 * (1 + 1e-12)
 
 
 def _bt_float_loop(a, sn, c, fixed, orbit, mus):
@@ -507,19 +516,35 @@ def _bt_float_loop(a, sn, c, fixed, orbit, mus):
     1 - mu t_k, t_k = sin^2(theta_k), with mu = m1 / m2 from the moments
     m_i = sum(t^i a^2) summed in index order, or by cos^2(theta_k) with
     mu = 1 when the search direction is negligible.  The steps run in the
-    straight-line kernel for the pair's K (``_bt_kernel``).  Returns the
-    final a."""
+    straight-line kernel for the live planes (``_bt_kernel``), ``_SEGMENT``
+    at a time.  A plane at ±0.0 stays there and adds +0.0 to every moment,
+    so between segments it leaves the live set without changing a bit;
+    its sign flips once per later step with 1 - mu t_k < 0 (a cos^2 step
+    records mu = 1 and keeps the sign too).  Returns the final a."""
     t = sn * sn
-    kernel = _bt_kernel(a.size)
-    a = kernel(a.tolist(), t.tolist(), (t * t).tolist(), (c * c).tolist(), fixed,
-               orbit.left(), orbit.stops, mus.append, orbit.distances.append)
-    return np.array(a)
+    rows = np.stack([t, t * t, c * c])
+    live, drops = np.arange(a.size), []
+    while True:
+        steps = min(_SEGMENT, orbit.left())
+        a[live] = _bt_kernel(live.size)(a[live].tolist(), *rows[:, live].tolist(), fixed, steps,
+                                        orbit.eps, orbit.blowup, mus.append, orbit.distances.append)
+        if not orbit.left():
+            break
+        dead = a[live] == 0.0
+        if dead.any():
+            drops.append((live[dead], len(mus)))
+            live = live[~dead]
+    for planes, taken in drops:
+        for k in planes:  # 1 - mu t_k < 0 exactly where mu t_k > 1
+            if np.count_nonzero(t[k] * np.frombuffer(mus)[taken:] > 1.0) % 2:
+                a[k] = -a[k]
+    return a
 
 
 #: the float loop for K planes unrolled into straight-line code on locals:
 #: per plane k, a{k}, its square s{k}, t{k}, tt{k} = t{k}^2 and cc{k} = cos^2.
 _BT_KERNEL = """\
-def kernel(a, t, tt, cc, fixed, steps, stops, mus, distances):
+def kernel(a, t, tt, cc, fixed, steps, eps, blowup, mus, distances):
     [{a}] = a
     [{t}] = t
     [{tt}] = tt
@@ -529,7 +554,7 @@ def kernel(a, t, tt, cc, fixed, steps, stops, mus, distances):
     m1 = {m1}
     m2 = {m2}
     for _ in range(steps):
-        if m2 <= (1e-14 * sqrt(m0 + fixed)) ** 2:
+        if m2 <= {small!r} * (m0 + fixed) and m2 <= (1e-14 * sqrt(m0 + fixed)) ** 2:
             mu = 1.0
             {shrink}
         else:
@@ -542,7 +567,7 @@ def kernel(a, t, tt, cc, fixed, steps, stops, mus, distances):
         d = sqrt(m0)
         mus(mu)
         distances(d)
-        if stops(d):
+        if d > blowup or d <= eps:
             break
     return [{a}]
 """
@@ -565,6 +590,7 @@ def _bt_kernel(k: int):
         m2=each("tt{k} * s{k}", " + ") or "0.0",
         shrink=each("a{k} *= cc{k}") or "pass",
         step=each("a{k} *= 1.0 - t{k} * mu") or "pass",
+        small=_SMALL,
     )
     namespace = {"sqrt": math.sqrt}
     exec(compile(source, f"<BT kernel, K = {k}>", "exec"), namespace)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import projrates.methods
+from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
 from projrates.methods import DivergenceError, MethodSpec, iterate
 from projrates.subspaces import EPS, canonical_pair, haar_orthogonal, pair_geometry
 
@@ -224,6 +225,73 @@ def test_bt_on_a_nested_pair_matches_dense_oracle(angles, q, n, monkeypatch):
     assert got.iterations == ref.iterations == 1
     assert got.mu_history == ref.mu_history
     np.testing.assert_allclose(got.distances, ref.distances, rtol=1e-14, atol=1e-14 * np.linalg.norm(x0))
+
+
+SEGMENT = projrates.methods._SEGMENT
+
+
+@pytest.mark.parametrize("cell", [(0, 3), (0, 4)])
+def test_bt_float_loop_drops_zero_planes_bit_for_bit(cell, monkeypatch):
+    """Desk pairs W1Z4/0 (K = 5) and W1Z5/0 (K = 6) of seed 2025 from their
+    first start: interior planes underflow to 0.0 within three segments and
+    leave the kernel.  The trace equals the oracle's, and the float loop
+    returns the same coordinates, signed zeros included, as one kernel call
+    over every plane with no drop."""
+    grid = CategoryGrid()
+    i, j = cell
+    geom = sample_pair(grid, cell, _derive_seed(2025, i, j, 0))
+    x0 = start_vector(grid.ambient_dim, _derive_seed(2025, i, j, 0, 1000), norm=grid.start_norm)
+    planes, loops = [], []
+    kernel, loop = projrates.methods._bt_kernel, projrates.methods._bt_float_loop
+
+    def spy(a, sn, c, fixed, orbit, mus):
+        loops.append((a.copy(), sn, c, fixed, orbit.left(), orbit.eps, orbit.blowup))
+        loops.append(loop(a, sn, c, fixed, orbit, mus))
+        return loops[-1]
+
+    monkeypatch.setattr(projrates.methods, "_bt_kernel", lambda k: planes.append(k) or kernel(k))
+    monkeypatch.setattr(projrates.methods, "_bt_float_loop", spy)
+    got = iterate(MethodSpec("BT"), geom, x0, eps=0.0, max_iter=3 * SEGMENT)
+    ref = oracles.bt_moment_loop(geom, x0, eps=0.0, max_iter=3 * SEGMENT)
+    assert min(planes) < planes[0]  # a plane dropped
+    assert got.iterations is ref.iterations is None
+    assert got.distances.tobytes() == ref.distances.tobytes()
+    assert got.mu_history == ref.mu_history
+    assert got.x_final.tobytes() == ref.x_final.tobytes()
+
+    (a0, sn, c, fixed, steps, eps, blowup), a_end = loops
+    t = sn * sn
+    whole = np.array(kernel(a0.size)(a0.tolist(), t.tolist(), (t * t).tolist(), (c * c).tolist(),
+                                     fixed, steps, eps, blowup, [].append, [].append))
+    assert np.any(whole == 0.0)
+    assert whole.tobytes() == a_end.tobytes()
+    assert np.array_equal(np.signbit(whole), np.signbit(a_end))
+
+
+SMALL = projrates.methods._SMALL
+#: m0 + fixed over the whole double range: subnormals, normals, the extremes
+#: and the values the sum can take when it overflows or meets a NaN
+moment_sums = st.one_of(
+    st.floats(0.0, 2.3e-308),
+    st.floats(min_value=0.0, allow_nan=False),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(moment_sums, st.sampled_from(["bound", "guard", "scaled"]), st.floats(0.5, 2.0),
+       st.integers(-4, 4))
+def test_small_direction_guard_never_rejects_a_small_direction(v, near, r, ulps):
+    """BT's kernel takes the small-direction branch only if
+    m2 <= ``_SMALL`` (m0 + fixed) before it tests
+    m2 <= (1e-14 sqrt(m0 + fixed))^2; wherever the guard fails, so does the
+    test.  m2 is drawn within a few ulps of either bound or near 1e-28 v."""
+    bound = (1e-14 * math.sqrt(v)) ** 2
+    m2 = {"bound": bound, "guard": SMALL * v, "scaled": 1e-28 * v * r}[near]
+    for _ in range(abs(ulps)):
+        m2 = math.nextafter(m2, math.copysign(math.inf, ulps))
+    if not m2 <= SMALL * v:
+        assert not m2 <= bound
 
 
 @pytest.mark.parametrize("kind", KINDS)
