@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -344,8 +345,8 @@ class _Orbit:
         self.distances = array("d", [d0])
 
     def stops(self, d: float) -> bool:
-        """The stopping rule; ``extend`` and BT's kernel (``_BT_KERNEL``)
-        spell it out inline."""
+        """The stopping rule; ``extend`` spells it out inline, and BT's
+        kernel (``_BT_KERNEL``) on m0 = d^2 (``_square_bound``)."""
         return d > self.blowup or d <= self.eps
 
     def left(self) -> int:
@@ -467,7 +468,7 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
     scale = 1.0  # factor on the V ∩ U-perp part and the (U + V)-perp remainder
     bt = spec.kind == "BT"
     orbit = _Orbit(spec.label, math.sqrt(float(a @ a + b @ b) + other), eps, max_iter)
-    mus = array("d")
+    mus = []
     for _ in range(orbit.left()):
         wu = sn * (sn * a - c * b)
         bb = float(b @ b)
@@ -503,12 +504,30 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
 #: cutoff stays lower because above it the moments come from ``np.dot``,
 #: whose last bits differ, so moving it would change BT's traces there.
 _FLOAT_LOOP_MAX_K = 16
-#: steps per call of BT's kernel; planes at 0.0 drop out between calls
-_SEGMENT = 1024
+#: steps per call of BT's kernel, planes leave and re-enter it between calls;
+#: the first call takes fewer, so that a short run allocates short lists
+_SEGMENT, _FIRST_SEGMENT = 1024, 64
 #: the kernel's cheap pre-test: m2 above this times m0 + fixed is above the
 #: small-direction bound (1e-14 sqrt(m0 + fixed))^2 too, for that rounds to
 #: at most 1e-28 (1 + 8 u) (m0 + fixed), u = 2^-53, subnormals included
 _SMALL = 1e-28 * (1 + 1e-12)
+
+
+@functools.lru_cache(maxsize=64)  # eps repeats from run to run; blowup follows d0
+def _square_bound(r: float) -> float:
+    """The largest double m with sqrt(m) <= r (r >= 0); sqrt rounds correctly
+    and is monotone, so m0 <= m exactly where sqrt(m0) <= r, inf and NaN too."""
+    m = r * r
+    while math.sqrt(m) > r:
+        m = math.nextafter(m, -math.inf)
+    while m < math.inf and math.sqrt(up := math.nextafter(m, math.inf)) <= r:
+        m = up
+    return m
+
+
+def _floats(values: list) -> np.ndarray:
+    """A list of floats as an array, 4x faster than ``np.array``."""
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
 
 
 def _bt_float_loop(a, sn, c, fixed, orbit, mus):
@@ -516,35 +535,47 @@ def _bt_float_loop(a, sn, c, fixed, orbit, mus):
     1 - mu t_k, t_k = sin^2(theta_k), with mu = m1 / m2 from the moments
     m_i = sum(t^i a^2) summed in index order, or by cos^2(theta_k) with
     mu = 1 when the search direction is negligible.  The steps run in the
-    straight-line kernel for the live planes (``_bt_kernel``), ``_SEGMENT``
-    at a time.  A plane at ±0.0 stays there and adds +0.0 to every moment,
-    so between segments it leaves the live set without changing a bit;
-    its sign flips once per later step with 1 - mu t_k < 0 (a cos^2 step
-    records mu = 1 and keeps the sign too).  Returns the final a."""
+    straight-line kernel (``_bt_kernel``) for the live planes, a segment at
+    a time.  A plane with a_k * a_k == 0.0 adds +0.0 to every moment, so it
+    sits out without changing a bit; after each segment it is replayed with
+    ``np.multiply.accumulate``, the kernel's products in its order.  If its
+    square turns nonzero, the segment is run again with it live."""
     t = sn * sn
     rows = np.stack([t, t * t, c * c])
-    live, drops = np.arange(a.size), []
+    lo, hi = _square_bound(orbit.eps), _square_bound(orbit.blowup)
+    size = _FIRST_SEGMENT
     while True:
-        steps = min(_SEGMENT, orbit.left())
-        a[live] = _bt_kernel(live.size)(a[live].tolist(), *rows[:, live].tolist(), fixed, steps,
-                                        orbit.eps, orbit.blowup, mus.append, orbit.distances.append)
+        steps, size = min(size, orbit.left()), min(4 * size, _SEGMENT)
+        live = (a * a).nonzero()[0]
+        while True:
+            new, seg, m0s, shrunk = _bt_kernel(live.size)(
+                a.take(live).tolist(), *rows.take(live, axis=1).tolist(), fixed, steps, lo, hi)
+            if live.size == a.size or not seg:
+                break
+            dead = np.delete(np.arange(a.size), live)
+            f = 1.0 - np.multiply.outer(t[dead], _floats(seg))
+            if shrunk:
+                f[:, shrunk] = rows[2, dead, None]
+            f[:, 0] *= a[dead]
+            with np.errstate(over="ignore", invalid="ignore"):  # past a plane that grows back
+                path = np.multiply.accumulate(f, axis=1)
+                back = dead[np.any(path * path != 0.0, axis=1)]
+            if not back.size:
+                a[dead] = path[:, -1]
+                break
+            live = np.union1d(live, back)  # it grew back: run the segment again with it live
+        a.put(live, new)
+        mus.extend(seg)
+        orbit.distances.frombytes(np.sqrt(_floats(m0s)).tobytes())
         if not orbit.left():
-            break
-        dead = a[live] == 0.0
-        if dead.any():
-            drops.append((live[dead], len(mus)))
-            live = live[~dead]
-    for planes, taken in drops:
-        for k in planes:  # 1 - mu t_k < 0 exactly where mu t_k > 1
-            if np.count_nonzero(t[k] * np.frombuffer(mus)[taken:] > 1.0) % 2:
-                a[k] = -a[k]
-    return a
+            return a
 
 
 #: the float loop for K planes unrolled into straight-line code on locals:
 #: per plane k, a{k}, its square s{k}, t{k}, tt{k} = t{k}^2 and cc{k} = cos^2.
+#: A step stores mu and m0 by index and calls nothing; see ``_square_bound``.
 _BT_KERNEL = """\
-def kernel(a, t, tt, cc, fixed, steps, eps, blowup, mus, distances):
+def kernel(a, t, tt, cc, fixed, steps, lo, hi):
     [{a}] = a
     [{t}] = t
     [{tt}] = tt
@@ -553,9 +584,11 @@ def kernel(a, t, tt, cc, fixed, steps, eps, blowup, mus, distances):
     m0 = {m0}
     m1 = {m1}
     m2 = {m2}
-    for _ in range(steps):
+    mus, m0s, shrunk = [0.0] * steps, [0.0] * steps, []
+    for i in range(steps):
         if m2 <= {small!r} * (m0 + fixed) and m2 <= (1e-14 * sqrt(m0 + fixed)) ** 2:
             mu = 1.0
+            shrunk.append(i)
             {shrink}
         else:
             mu = m1 / m2
@@ -564,21 +597,21 @@ def kernel(a, t, tt, cc, fixed, steps, eps, blowup, mus, distances):
         m0 = {m0}
         m1 = {m1}
         m2 = {m2}
-        d = sqrt(m0)
-        mus(mu)
-        distances(d)
-        if d > blowup or d <= eps:
+        mus[i] = mu
+        m0s[i] = m0
+        if m0 > hi or m0 <= lo:
+            del mus[i + 1:], m0s[i + 1:]
             break
-    return [{a}]
+    return [{a}], mus, m0s, shrunk
 """
 
 
 @functools.cache
 def _bt_kernel(k: int):
     """``_BT_KERNEL`` for k planes, compiled on first use (at most
-    ``_FLOAT_LOOP_MAX_K`` + 1 of them).  Each moment is a left-to-right sum
-    over the planes in index order; its terms are never negative, so it
-    equals the same sum started from 0.0."""
+    ``_FLOAT_LOOP_MAX_K`` + 1 of them), returning a, the mus, the m0s and the
+    small-direction steps.  Each moment is a left-to-right sum in index order
+    of terms never negative, so it equals the same sum started from 0.0."""
     def each(template, sep="; "):
         return sep.join(template.format(k=i) for i in range(k))
 
@@ -598,8 +631,8 @@ def _bt_kernel(k: int):
 
 
 def _bt_array_loop(a, sn, c, fixed, orbit, mus):
-    """``_bt_float_loop`` on numpy arrays, for many planes; the moments are
-    one matrix-vector product."""
+    """``_bt_float_loop`` on numpy arrays, for many planes: every plane
+    stays in every step, and the moments are one matrix-vector product."""
     t = sn * sn
     c2, neg_t = c * c, -t
     moments = np.stack([np.ones_like(t), t, t * t])

@@ -1,16 +1,18 @@
-"""Check every BT run of the seed-2025 desk table against
-``oracles.bt_moment_loop`` byte for byte.
+"""Check every BT run of the desk table against ``oracles.bt_moment_loop``
+byte for byte, for each master seed given (2025 when none is).
 
 The desk table's capped W1 runs take 100000 steps, and in them interior
-planes underflow to 0.0 and drop out of BT's float loop.  The property
-tests stop long before that, so this script is the check that covers
-dropped planes over whole runs.  Run it from the repository root:
+planes underflow until their square is 0.0 and leave BT's kernel.  The
+property tests stop long before that, so this script is the check that
+covers those planes over whole runs.  Run it from the repository root:
 
-    PYTHONPATH=src python tests/check_desk_bt.py
+    PYTHONPATH=src python tests/check_desk_bt.py [SEED ...]
 
-It prints one line per mismatching run and a summary, and exits 1 if any
-run differs from the oracle in its distances, mus, final point, count or
-outcome.
+It prints one line per mismatching run and, per seed, a summary: how many
+planes end at 0.0, how many planes left the kernel at a nonzero value whose
+square is 0.0, and how many segments were run again because such a plane
+grew.  It exits 1 if any run differs from the oracle in its distances, mus,
+final point, count or outcome.
 """
 
 import sys
@@ -22,37 +24,74 @@ import projrates.methods
 from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
 from projrates.methods import MethodSpec, iterate
 
-MASTER_SEED = 2025
+
+def inert(values) -> int:
+    """Nonzero values whose square is 0.0."""
+    v = np.asarray(values)
+    return int(np.count_nonzero((v != 0.0) & (v * v == 0.0)))
+
+
+def check(master_seed: int) -> int:
+    """Compare the seed's desk BT runs with the oracle; returns the number
+    of runs that differ."""
+    grid = CategoryGrid()
+    runs = []  # per float loop: its start, its end and its kernel calls
+    loop, kernel = projrates.methods._bt_float_loop, projrates.methods._bt_kernel
+
+    def spy_loop(a, *args):
+        runs.append([a.copy(), None, []])
+        runs[-1][1] = loop(a, *args)
+        return runs[-1][1]
+
+    def spy_kernel(k):
+        def call(*args):
+            out = kernel(k)(*args)
+            runs[-1][2].append((k, out[0]))  # plane count, values returned
+            return out
+        return call
+
+    projrates.methods._bt_float_loop, projrates.methods._bt_kernel = spy_loop, spy_kernel
+    total = bad = 0
+    try:
+        for i in range(len(grid.primary_bins)):
+            for j in range(grid.secondary_bins):
+                for k in range(grid.pairs_per_cell):
+                    geom = sample_pair(grid, (i, j), _derive_seed(master_seed, i, j, k))
+                    for m in range(grid.starts_per_pair):
+                        x0 = start_vector(grid.ambient_dim, _derive_seed(master_seed, i, j, k, 1000 + m),
+                                          norm=grid.start_norm)
+                        got = iterate(MethodSpec("BT"), geom, x0, eps=grid.eps, max_iter=grid.max_iter)
+                        ref = oracles.bt_moment_loop(geom, x0, eps=grid.eps, max_iter=grid.max_iter)
+                        total += 1
+                        if not (got.solved == ref.solved and got.iterations == ref.iterations
+                                and got.distances.tobytes() == ref.distances.tobytes()
+                                and got.mu_history == ref.mu_history
+                                and got.x_final.tobytes() == ref.x_final.tobytes()):
+                            bad += 1
+                            print(f"seed {master_seed}, {grid.cell_label(i, j)}/{k} start {m}: BT differs "
+                                  f"from the oracle ({len(got.distances) - 1} against "
+                                  f"{len(ref.distances) - 1} steps)")
+    finally:
+        projrates.methods._bt_float_loop, projrates.methods._bt_kernel = loop, kernel
+    left = rerun = 0
+    for start, _, calls in runs:
+        left += inert(start)  # never asked of the kernel
+        for (k, out), (k_next, _) in zip(calls, calls[1:]):
+            if k_next > k:  # a plane comes back only when its segment is run again
+                rerun += 1
+            else:
+                left += inert(out)
+    zeros = np.concatenate([end for _, end, _ in runs])
+    zeros = zeros[zeros == 0.0]
+    print(f"seed {master_seed}: {total - bad} of {total} desk BT runs "
+          f"equal oracles.bt_moment_loop byte for byte; {len(zeros)} planes end at 0.0 "
+          f"({np.count_nonzero(np.signbit(zeros))} of them -0.0); {left} planes left the kernel at a "
+          f"nonzero value whose square is 0.0; {rerun} segments were run again")
+    return bad
 
 
 def main() -> int:
-    grid = CategoryGrid()
-    finals = []  # the plane coordinates each float loop returns
-    loop = projrates.methods._bt_float_loop
-    projrates.methods._bt_float_loop = lambda *args: finals.append(loop(*args)) or finals[-1]
-    runs = bad = 0
-    for i in range(len(grid.primary_bins)):
-        for j in range(grid.secondary_bins):
-            for k in range(grid.pairs_per_cell):
-                geom = sample_pair(grid, (i, j), _derive_seed(MASTER_SEED, i, j, k))
-                for m in range(grid.starts_per_pair):
-                    x0 = start_vector(grid.ambient_dim, _derive_seed(MASTER_SEED, i, j, k, 1000 + m),
-                                      norm=grid.start_norm)
-                    got = iterate(MethodSpec("BT"), geom, x0, eps=grid.eps, max_iter=grid.max_iter)
-                    ref = oracles.bt_moment_loop(geom, x0, eps=grid.eps, max_iter=grid.max_iter)
-                    runs += 1
-                    same = (got.solved == ref.solved and got.iterations == ref.iterations
-                            and got.distances.tobytes() == ref.distances.tobytes()
-                            and got.mu_history == ref.mu_history
-                            and got.x_final.tobytes() == ref.x_final.tobytes())
-                    if not same:
-                        bad += 1
-                        print(f"{grid.cell_label(i, j)}/{k} start {m}: BT differs from the oracle "
-                              f"({len(got.distances) - 1} against {len(ref.distances) - 1} steps)")
-    zeros = np.concatenate(finals)
-    zeros = zeros[zeros == 0.0]
-    print(f"{runs - bad} of {runs} desk BT runs equal oracles.bt_moment_loop byte for byte; "
-          f"{len(zeros)} planes end at 0.0 ({np.count_nonzero(np.signbit(zeros))} of them -0.0)")
+    bad = sum(check(int(seed)) for seed in sys.argv[1:] or [2025])
     return 1 if bad else 0
 
 

@@ -2,6 +2,7 @@
 projector loop ``oracles.dense_iterate``."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,11 +262,131 @@ def test_bt_float_loop_drops_zero_planes_bit_for_bit(cell, monkeypatch):
 
     (a0, sn, c, fixed, steps, eps, blowup), a_end = loops
     t = sn * sn
-    whole = np.array(kernel(a0.size)(a0.tolist(), t.tolist(), (t * t).tolist(), (c * c).tolist(),
-                                     fixed, steps, eps, blowup, [].append, [].append))
+    whole = np.array(kernel(a0.size)(a0.tolist(), t.tolist(), (t * t).tolist(), (c * c).tolist(), fixed,
+                                     steps, projrates.methods._square_bound(eps),
+                                     projrates.methods._square_bound(blowup))[0])
     assert np.any(whole == 0.0)
     assert whole.tobytes() == a_end.tobytes()
     assert np.array_equal(np.signbit(whole), np.signbit(a_end))
+
+
+def _float_loop_against_one_kernel_call(a, t, fixed, eps, max_iter, segment):
+    """Run ``_bt_float_loop`` from a with segments of ``segment`` steps, and
+    the same steps as one kernel call over every plane; assert that both
+    record the same mus and distances and end at the same bytes.  Returns
+    the plane counts the float loop asked of the kernel."""
+    sn, c = np.sqrt(t), np.sqrt(1.0 - t)
+    orbit = projrates.methods._Orbit("BT", math.sqrt(float(a @ a)), eps, max_iter)
+    mus, planes = [], []
+    kernel = projrates.methods._bt_kernel
+    first = min(segment, projrates.methods._FIRST_SEGMENT)
+    with mock.patch.object(projrates.methods, "_SEGMENT", segment), \
+            mock.patch.object(projrates.methods, "_FIRST_SEGMENT", first), \
+            mock.patch.object(projrates.methods, "_bt_kernel", lambda k: planes.append(k) or kernel(k)):
+        end = projrates.methods._bt_float_loop(a.copy(), sn, c, fixed, orbit, mus)
+    square_bound = projrates.methods._square_bound
+    t, cc = sn * sn, c * c
+    whole, whole_mus, m0s, _ = kernel(a.size)(a.tolist(), t.tolist(), (t * t).tolist(), cc.tolist(), fixed,
+                                              orbit.max_iter, square_bound(eps), square_bound(orbit.blowup))
+    assert mus == whole_mus
+    assert orbit.distances[1:].tobytes() == np.sqrt(m0s).tobytes()
+    assert end.tobytes() == np.array(whole).tobytes()
+    assert np.array_equal(np.signbit(end), np.signbit(whole))
+    return planes
+
+
+def _rolled_back(planes):
+    """A plane re-enters the kernel only when a segment is run again."""
+    return any(b > a for a, b in zip(planes, planes[1:]))
+
+
+#: plane coordinates: ordinary, ±0.0, subnormal, and normal with a square of 0.0
+plane_values = st.one_of(st.floats(-10.0, 10.0),
+                         st.sampled_from([0.0, -0.0, 5e-324, -2.5e-323, 1e-310, 1e-170, -1e-170, 1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(plane_values, st.floats(1e-3, 1.0)), min_size=1, max_size=8),
+       st.sampled_from([0.0, 1.0, 1e24]), st.sampled_from([0.0, 1e-6]), st.integers(0, 80),
+       st.sampled_from([1, 2, 3, 1024]))
+def test_bt_float_loop_replays_inert_planes_bit_for_bit(planes, fixed, eps, max_iter, segment):
+    """Planes whose square is 0.0 leave the kernel between segments, are
+    replayed over each segment and come back if they grow: the result is
+    one kernel call over every plane, bit for bit.  A large U ∩ V part
+    (fixed) makes the steps take the small-direction branch."""
+    a, t = (np.array(column) for column in zip(*planes))
+    assume(float(a @ a) > eps * eps)
+    _float_loop_against_one_kernel_call(a, t, fixed, eps, max_iter, segment)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 1024])
+@pytest.mark.parametrize("a, t, steps, regrows", [
+    # 1e-170 between t = 0.001 and 0.99 grows by hundreds per step once BT zigzags
+    ((1.0, 1e-170, 1.0), (0.001, 0.5, 0.99), 60, True),
+    # the one step has mu = 2.25 / 1.125 = 2 and scales the least subnormal by
+    # 0.5 exactly: a tie, which rounds it to 0.0
+    ((1.0, 1.0, 4.0, 5e-324), (1.0, 0.25, 0.0625, 0.25), 1, False),
+])
+def test_bt_float_loop_reruns_a_segment_where_a_plane_grows(a, t, steps, regrows, segment):
+    """A segment that replayed a plane as inert is run again with it live
+    once its square turns nonzero; a replayed factor that rounds a
+    subnormal at a tie rounds it as the kernel does."""
+    a = np.array(a)
+    planes = _float_loop_against_one_kernel_call(a, np.array(t), 0.0, 0.0, steps, segment)
+    assert planes[0] == np.count_nonzero(a * a)
+    assert _rolled_back(planes) == regrows
+
+
+def test_bt_float_loop_drops_subnormal_planes(monkeypatch):
+    """Desk pair W1Z4/0 of seed 2025 from start 2 (K = 5): planes 1-3 reach
+    subnormals whose square is 0.0 and leave the kernel, though not all of
+    them reach 0.0.  The trace equals the oracle's."""
+    grid = CategoryGrid()
+    geom = sample_pair(grid, (0, 3), _derive_seed(2025, 0, 3, 0))
+    x0 = start_vector(grid.ambient_dim, _derive_seed(2025, 0, 3, 0, 1002), norm=grid.start_norm)
+    planes, ends = [], []
+    kernel, loop = projrates.methods._bt_kernel, projrates.methods._bt_float_loop
+    monkeypatch.setattr(projrates.methods, "_bt_kernel", lambda k: planes.append(k) or kernel(k))
+    monkeypatch.setattr(projrates.methods, "_bt_float_loop", lambda *args: ends.append(loop(*args)) or ends[-1])
+    got = iterate(MethodSpec("BT"), geom, x0, eps=grid.eps, max_iter=9 * SEGMENT)
+    ref = oracles.bt_moment_loop(geom, x0, eps=grid.eps, max_iter=9 * SEGMENT)
+    assert planes[0] == 5 and planes[-1] == 2
+    assert not _rolled_back(planes)
+    inert = ends[0][1:4]
+    assert np.all(inert * inert == 0.0) and np.any(inert != 0.0)
+    assert got.iterations is ref.iterations is None
+    assert got.distances.tobytes() == ref.distances.tobytes()
+    assert got.mu_history == ref.mu_history
+    assert got.x_final.tobytes() == ref.x_final.tobytes()
+
+
+#: m0 over the whole double range: subnormals, normals, the extremes, inf and NaN
+moments = st.one_of(
+    st.floats(0.0, 2.3e-308),
+    st.floats(min_value=0.0, allow_nan=False),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan]),
+)
+#: eps: 0, tiny, 0.01 and at least 1.35e154, whose square overflows; blowup
+#: (1e12 max(1, d0)) finite or inf
+radii = st.one_of(st.just(0.0), st.floats(5e-324, 1e-150), st.just(0.01), st.floats(1e-3, 1e13),
+                  st.floats(1.35e154, 1.7976931348623157e308), st.just(math.inf))
+
+
+@settings(max_examples=500, deadline=None)
+@given(radii, moments, st.booleans(), st.integers(-4, 4))
+def test_stop_bounds_on_m0_are_exact(r, m0, near, ulps):
+    """BT's kernel stops on m0 <= lo or m0 > hi, lo and hi the
+    ``_square_bound`` of eps and blowup: that is the rule d <= eps or
+    d > blowup on d = sqrt(m0), for every m0.  m0 is drawn anywhere or
+    within a few ulps of r^2."""
+    if near:
+        m0 = r * r
+        for _ in range(abs(ulps)):
+            m0 = math.nextafter(m0, math.copysign(math.inf, ulps))
+        m0 = abs(m0)
+    bound = projrates.methods._square_bound(r)
+    assert (m0 <= bound) == (math.sqrt(m0) <= r)
+    assert (m0 > bound) == (math.sqrt(m0) > r)
 
 
 SMALL = projrates.methods._SMALL
