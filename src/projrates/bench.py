@@ -23,6 +23,7 @@ import pathlib
 import re
 import statistics
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,21 @@ class CategoryGrid:
         if unknown:
             raise ValueError(f"unknown grid config keys: {sorted(unknown)}")
         return cls(**d)
+
+
+#: the desk protocol's methods on the default grid, ``bench``'s default
+DESK_METHODS = ("BT", "S:best", "T:best", "MAP", "DR")
+#: the large protocol of ``bench --full``: n = 100, 5 pairs x 10 starts per
+#: cell, and three parameter variants next to the desk methods.  The two
+#: S variants take mu = 1/sin^2(theta_p) and 1/2 + 1/sin^2(theta_p) from
+#: each sampled pair, on the instances the other methods see.
+FULL_GRID = CategoryGrid(ambient_dim=100, pairs_per_cell=5, starts_per_pair=10)
+FULL_METHODS = (
+    "BT", "S:best",
+    ("S[1/tp]", lambda geom: MethodSpec("S", mu=1.0 / math.sin(geom.theta_p) ** 2)),
+    ("S[0.5+1/tp]", lambda geom: MethodSpec("S", mu=0.5 + 1.0 / math.sin(geom.theta_p) ** 2)),
+    "T:best", "T:1.5", "MAP", "DR",
+)
 
 
 def _derive_seed(master_seed: int, *path: int) -> int:
@@ -212,23 +228,21 @@ class BenchmarkTable:
     master_seed: int
     records: tuple
 
+    @cached_property
+    def _groups(self) -> dict:
+        """The records by (primary bin index, method), from one scan."""
+        groups = {}
+        for r in self.records:
+            groups.setdefault((r.primary_index, r.method), []).append(r)
+        return groups
+
     def counts(self, primary_index: int, method: str) -> list:
         """Sorted iteration counts of one (primary bin, method) group."""
-        return sorted(
-            r.iterations
-            for r in self.records
-            if r.primary_index == primary_index and r.method == method
-        )
+        return sorted(r.iterations for r in self._groups.get((primary_index, method), ()))
 
     def stats(self, primary_index: int, method: str) -> dict:
         counts = self.counts(primary_index, method)
-        unsolved = sum(
-            1
-            for r in self.records
-            if r.primary_index == primary_index
-            and r.method == method
-            and not r.solved
-        )
+        unsolved = sum(not r.solved for r in self._groups.get((primary_index, method), ()))
         return {
             "median": statistics.median(counts) if counts else math.nan,
             "mean": statistics.fmean(counts) if counts else math.nan,
@@ -320,7 +334,9 @@ class BenchmarkTable:
 
 def method_rules(methods) -> list:
     """``run_grid``'s methods as ``(label, rule)`` pairs, validated before
-    any pair is sampled: ValueError for an unknown method or none at all."""
+    any pair is sampled: ValueError for an unknown method, none at all, or a
+    label given twice (``T:0.5`` and ``T:0.5000001`` share one), whose
+    records would merge."""
     rules = []
     for m in methods:
         if isinstance(m, tuple):
@@ -328,6 +344,8 @@ def method_rules(methods) -> list:
         else:
             spec = m if isinstance(m, MethodSpec) else parse_method(m)
             rules.append((spec.label, lambda geom, spec=spec: spec))
+        if rules[-1][0] in (label for label, _ in rules[:-1]):
+            raise ValueError(f"method label {rules[-1][0]!r} is repeated")
     if not rules:
         raise ValueError("need at least one method")
     return rules

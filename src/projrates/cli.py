@@ -22,6 +22,9 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (
+    DESK_METHODS,
+    FULL_GRID,
+    FULL_METHODS,
     CategoryGrid,
     method_rules,
     read_records_csv,
@@ -225,12 +228,16 @@ def _bin_stats(table) -> dict:
 
 def cmd_bench(args) -> int:
     _check_seed(args.seed)
+    for flag, value in (("--config", args.config), ("--methods", args.methods)):
+        if args.full and value is not None:
+            raise ValueError(f"--full fixes the grid and the methods; it cannot be combined with {flag}")
+    grid, methods = (FULL_GRID, FULL_METHODS) if args.full else (CategoryGrid(), DESK_METHODS)
     if args.config:
         with open(args.config) as fh:
             grid = CategoryGrid.from_dict(json.load(fh))
-    else:
-        grid = CategoryGrid()
-    rules = method_rules(m for m in args.methods.split(",") if m.strip())
+    if args.methods is not None:
+        methods = [m for m in args.methods.split(",") if m.strip()]
+    rules = method_rules(methods)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fails before the grid runs
     try:
@@ -315,8 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="grid configuration JSON file")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default="bench_out", help="output directory")
-    p.add_argument("--methods", default="BT,S:best,T:best,MAP,DR",
-                   help="comma-separated method list")
+    p.add_argument("--methods", help=f"comma-separated method list (default {','.join(DESK_METHODS)})")
+    p.add_argument("--full", action="store_true",
+                   help="the large protocol: n=100, 5 pairs x 10 starts per cell, 8 methods; "
+                        "excludes --config and --methods")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import projrates.bench
+
 from oracles import (
     distance_to_span,
     textbook_mean,
@@ -297,6 +299,21 @@ def test_profile_csvs(tmp_path, tiny_table):
 def test_benchmark_table_validates_methods():
     with pytest.raises(ValueError):
         run_grid(TINY, [], master_seed=0)
+
+
+@pytest.mark.parametrize("methods", [
+    ["T:0.5", "MAP", "T:0.5000001"],
+    ["MAP", "MAP"],
+    [("MAP", lambda geom: MethodSpec("MAP")), MethodSpec("MAP")],
+])
+def test_run_grid_rejects_repeated_labels_before_sampling(monkeypatch, methods):
+    def refuse(*args):
+        raise AssertionError("a pair was sampled")
+
+    monkeypatch.setattr(projrates.bench, "sample_pair", refuse)
+    label = "T:0.5" if "T:0.5" in methods else "MAP"
+    with pytest.raises(ValueError, match=f"^method label '{label}' is repeated$"):
+        run_grid(TINY, methods, master_seed=0)
 
 
 def test_instance_record_fields(tiny_table):

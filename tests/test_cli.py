@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 import projrates.cli
 import projrates.methods
+from projrates.bench import CategoryGrid
 from projrates.cli import _json_dumps, main
 from projrates.matio import read_matrix, write_matrix
 from projrates.spectral import classify_convergence, report_from_dict, report_to_dict
@@ -463,12 +465,50 @@ def test_bench_non_finite_config_names_field_before_out(tmp_path, capsys, field)
 @pytest.mark.parametrize("methods, message", [
     ("X", "unknown method 'X'"),
     (" , ", "need at least one method"),
+    ("T:0.5,T:0.5000001", "method label 'T:0.5' is repeated"),
+    ("MAP,BT,MAP", "method label 'MAP' is repeated"),
 ])
 def test_bench_bad_methods_exit_1_before_out(tmp_path, capsys, methods, message):
     out = tmp_path / "d" / "out"
     assert main(["bench", "--methods", methods, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "desk"])
+def test_bench_protocols_write_every_profile(tmp_path, monkeypatch, capsys, full):
+    # both protocols shrunk to 2 x 2 cells at n = 10: the full grid patched, the desk one a
+    # --config, under which the desk methods are the default
+    tiny = CategoryGrid(primary_bins=((0.1, 0.5), (0.5, 1.0)), secondary_bins=2, ambient_dim=10,
+                        pairs_per_cell=1, starts_per_pair=1, max_iter=5000)
+    monkeypatch.setattr(projrates.cli, "FULL_GRID", tiny)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny.to_dict()))
+    desk = {"BT": "BT", "S:best": "S_best", "T:best": "T_best", "MAP": "MAP", "DR": "DR"}
+    full_methods = {"BT": "BT", "S:best": "S_best", "S[1/tp]": "S[1_tp]", "S[0.5+1/tp]": "S[0.5+1_tp]",
+                    "T:best": "T_best", "T:1.5": "T_1.5", "MAP": "MAP", "DR": "DR"}
+    methods = full_methods if full else desk
+    out = tmp_path / "out"
+    assert main(["bench", *(["--full"] if full else ["--config", str(cfg)]), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"\nwrote {out}/summary.csv, records.csv, and per-method profiles\n")
+    assert {p.name for p in out.glob("profile_*.csv")} == {f"profile_{name}.csv" for name in methods.values()}
+    with open(out / "records.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows[:len(methods)]] == list(methods)
+    assert len(rows) == 2 * 2 * len(methods)
+
+
+@pytest.mark.parametrize("flag", ["--methods", "--config"])
+def test_bench_full_excludes_config_and_methods(tmp_path, capsys, flag):
+    cfg = tmp_path / "g.json"
+    cfg.write_text("{}")
+    out = tmp_path / "out"
+    value = {"--methods": "MAP", "--config": str(cfg)}[flag]
+    assert main(["bench", "--full", flag, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --full fixes the grid and the methods; it cannot be combined with {flag}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_report_matches_bench_summary(tiny_config, tmp_path, capsys):

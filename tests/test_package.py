@@ -59,30 +59,6 @@ def test_rate_sweep_script_writes_csv(tmp_path):
     assert len(rows) - 1 == 16  # 2 geometries x 8 default methods
 
 
-def test_run_benchmark_script_writes_every_profile(tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("run_benchmark", ROOT / "scripts" / "run_benchmark.py")
-    run_benchmark = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_benchmark)
-
-    def tiny_grid(**kwargs):  # both protocols shrunk to 2 x 2 cells at n = 10
-        return projrates.CategoryGrid(
-            primary_bins=((0.1, 0.5), (0.5, 1.0)), secondary_bins=2, ambient_dim=10,
-            pairs_per_cell=1, starts_per_pair=1, max_iter=5000,
-        )
-
-    monkeypatch.setattr(run_benchmark, "CategoryGrid", tiny_grid)
-    desk = {"BT": "BT", "S:best": "S_best", "T:best": "T_best", "MAP": "MAP", "DR": "DR"}
-    full = {**desk, "S[1/tp]": "S[1_tp]", "S[0.5+1/tp]": "S[0.5+1_tp]", "T:1.5": "T_1.5"}
-    for extra, methods in (([], desk), (["--full"], full)):
-        out = tmp_path / ("full" if extra else "desk")
-        assert run_benchmark.main([*extra, "--out", str(out)]) == 0
-        profiles = {f"profile_{name}.csv" for name in methods.values()}
-        assert {p.name for p in out.glob("profile_*.csv")} == profiles
-        with open(out / "records.csv", newline="") as fh:
-            assert {row["method"] for row in csv.DictReader(fh)} == set(methods)
-    capsys.readouterr()
-
-
 def test_console_script_entry_point(monkeypatch, capsys):
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
