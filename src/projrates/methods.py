@@ -458,7 +458,9 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
     w_k coordinate b and the whole V ∩ U-perp and (U + V)-perp parts, which
     its step scales by 1 - mu.  BT's first step lands in U.  From then on
     its direction is t a with t = s^2, so a step only scales a by 1 - mu t,
-    and mu comes from the moments sum(t^i a^2), i = 0, 1, 2.
+    and mu comes from the moments sum(t^i a^2), i = 0, 1, 2.  Those later
+    steps run in ``_bt_float_loop`` while K <= ``_FLOAT_LOOP_MAX_K``, and
+    in this loop above.
     """
     along_u, along_w, in_extra, rest = parts
     s, c, sn = frame.s, frame.cos, frame.sin
@@ -467,6 +469,7 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
     other = float(in_extra @ in_extra + rest @ rest)
     scale = 1.0  # factor on the V ∩ U-perp part and the (U + V)-perp remainder
     bt = spec.kind == "BT"
+    float_loop = bt and a.size <= _FLOAT_LOOP_MAX_K
     orbit = _Orbit(spec.label, math.sqrt(float(a @ a + b @ b) + other), eps, max_iter)
     mus = []
     for _ in range(orbit.left()):
@@ -486,24 +489,23 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
             other, scale = other * (1.0 - mu) ** 2, scale * (1.0 - mu)
         mus.append(mu)
         orbit.distances.append(d := math.sqrt(float(a @ a + b @ b) + other))
-        if bt or orbit.stops(d):  # BT takes its later steps in the moment loop
+        if orbit.stops(d) or float_loop:
             break
-    if bt:
-        moment_loop = _bt_float_loop if a.size <= _FLOAT_LOOP_MAX_K else _bt_array_loop
-        a = moment_loop(a, sn, c, fixed, orbit, mus)
+    if float_loop:
+        a = _bt_float_loop(a, sn, c, fixed, orbit, mus)
     orbit.settle()
     along_u = along_u.copy()
     along_u[s:] = a
     return orbit, tuple(mus), (along_u, b, in_extra * scale, rest * scale)
 
 
-#: BT's moment loop runs on Python floats while a pair has at most this many
-#: nonzero angles.  There numpy's fixed cost per call outweighs the work on
-#: K floats.  The float loop stays ahead up to K = 32 with every plane live,
-#: and past K = 48 once half the planes have dropped (BENCH_bt.json); the
-#: cutoff stays lower because above it the moments come from ``np.dot``,
-#: whose last bits differ, so moving it would change BT's traces there.
-_FLOAT_LOOP_MAX_K = 16
+#: BT's steps after the first run in the generated kernel while a pair has
+#: at most this many nonzero angles, because compiling ``_bt_kernel(K)``
+#: costs little up to here: about 6 ms and 0.3 MB of retained memory at
+#: K = 64, against 100 ms and 16 MB at K = 1000 (BENCH_bt.json).  Above it,
+#: BT stays in ``_adaptive_orbit``'s line-search loop, whose step costs
+#: more but no compile.
+_FLOAT_LOOP_MAX_K = 64
 #: steps per call of BT's kernel, planes leave and re-enter it between calls;
 #: the first call takes fewer, so that a short run allocates short lists
 _SEGMENT, _FIRST_SEGMENT = 1024, 64
@@ -628,34 +630,6 @@ def _bt_kernel(k: int):
     namespace = {"sqrt": math.sqrt}
     exec(compile(source, f"<BT kernel, K = {k}>", "exec"), namespace)
     return namespace["kernel"]
-
-
-def _bt_array_loop(a, sn, c, fixed, orbit, mus):
-    """``_bt_float_loop`` on numpy arrays, for many planes: every plane
-    stays in every step, and the moments are one matrix-vector product."""
-    t = sn * sn
-    c2, neg_t = c * c, -t
-    moments = np.stack([np.ones_like(t), t, t * t])
-    g, sq, out = np.empty_like(t), a * a, np.empty(3)
-    m0, m1, m2 = (moments @ sq).tolist()
-    distances, stops = orbit.distances, orbit.stops
-    for _ in range(orbit.left()):
-        if m2 <= (1e-14 * math.sqrt(m0 + fixed)) ** 2:
-            mu = 1.0
-            a *= c2
-        else:
-            mu = m1 / m2
-            np.multiply(neg_t, mu, out=g)
-            g += 1.0
-            a *= g
-        np.multiply(a, a, out=sq)
-        m0, m1, m2 = np.dot(moments, sq, out=out).tolist()
-        d = math.sqrt(m0)
-        mus.append(mu)
-        distances.append(d)
-        if stops(d):
-            break
-    return a
 
 
 def fit_rate(distances: np.ndarray, floor: float = 1e-13) -> float | None:

@@ -1,12 +1,16 @@
 """Check every BT run of the desk table against ``oracles.bt_moment_loop``
-byte for byte, for each master seed given (2025 when none is).
+byte for byte, for each master seed given (2025 when none is); with
+``--full``, every BT run of the ``bench --full`` protocol
+(``bench.FULL_GRID``) instead.
 
 The desk table's capped W1 runs take 100000 steps, and in them interior
 planes underflow until their square is 0.0 and leave BT's kernel.  The
 property tests stop long before that, so this script is the check that
-covers those planes over whole runs.  Run it from the repository root:
+covers those planes over whole runs: on the desk pairs (K <= 13) and, with
+``--full``, on the n = 100 pairs (K up to 42 at seed 0).  Run it from the
+repository root:
 
-    PYTHONPATH=src python tests/check_desk_bt.py [SEED ...]
+    PYTHONPATH=src python tests/check_desk_bt.py [--full] [SEED ...]
 
 It prints one line per mismatching run and, per seed, a summary: how many
 planes end at 0.0, how many planes left the kernel at a nonzero value whose
@@ -15,13 +19,14 @@ grew.  It exits 1 if any run differs from the oracle in its distances, mus,
 final point, count or outcome.
 """
 
+import argparse
 import sys
 
 import numpy as np
 
 import oracles
 import projrates.methods
-from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
+from projrates.bench import FULL_GRID, CategoryGrid, _derive_seed, sample_pair, start_vector
 from projrates.methods import MethodSpec, iterate
 
 
@@ -31,10 +36,11 @@ def inert(values) -> int:
     return int(np.count_nonzero((v != 0.0) & (v * v == 0.0)))
 
 
-def check(master_seed: int) -> int:
-    """Compare the seed's desk BT runs with the oracle; returns the number
-    of runs that differ."""
-    grid = CategoryGrid()
+def check(master_seed: int, full: bool = False) -> int:
+    """Compare the seed's BT runs of the desk table, or with ``full`` of the
+    ``bench --full`` protocol, with the oracle; returns the number of runs
+    that differ."""
+    grid = FULL_GRID if full else CategoryGrid()
     runs = []  # per float loop: its start, its end and its kernel calls
     loop, kernel = projrates.methods._bt_float_loop, projrates.methods._bt_kernel
 
@@ -83,7 +89,7 @@ def check(master_seed: int) -> int:
                 left += inert(out)
     zeros = np.concatenate([end for _, end, _ in runs])
     zeros = zeros[zeros == 0.0]
-    print(f"seed {master_seed}: {total - bad} of {total} desk BT runs "
+    print(f"seed {master_seed}: {total - bad} of {total} {'--full' if full else 'desk'} BT runs "
           f"equal oracles.bt_moment_loop byte for byte; {len(zeros)} planes end at 0.0 "
           f"({np.count_nonzero(np.signbit(zeros))} of them -0.0); {left} planes left the kernel at a "
           f"nonzero value whose square is 0.0; {rerun} segments were run again")
@@ -91,7 +97,11 @@ def check(master_seed: int) -> int:
 
 
 def main() -> int:
-    bad = sum(check(int(seed)) for seed in sys.argv[1:] or [2025])
+    parser = argparse.ArgumentParser(description="BT runs of a benchmark table against the oracle")
+    parser.add_argument("seeds", nargs="*", type=int, default=[2025], help="master seeds")
+    parser.add_argument("--full", action="store_true", help="the bench --full protocol, not the desk table")
+    args = parser.parse_args()
+    bad = sum(check(seed, args.full) for seed in args.seeds)
     return 1 if bad else 0
 
 

@@ -10,12 +10,13 @@ one: ``dense_iterate``, the projection iteration as a dense loop over the
 pair's projectors (``build_operator`` and the line-search step
 ``adaptive_step``), which checks the principal-coordinate engine behind
 ``iterate``; ``bt_moment_loop``, BT in principal coordinates on numpy
-arrays, which checks the float loop BT runs on pairs with few planes bit
-for bit; ``full_classify``, the convergence verdict over the fully
-resolved ``eigen_structure``, which checks the Jordan indices
-``classify_convergence`` resolves on demand; and ``loop_parse_matrix``, the
-token-by-token matrix parser, which checks the per-row fast path of
-``parse_matrix``.
+arrays, which checks bit for bit the generated kernel BT runs on pairs
+with at most ``_FLOAT_LOOP_MAX_K`` (64) nonzero angles, in the tests and
+over whole benchmark runs in ``check_desk_bt.py``; ``full_classify``, the
+convergence verdict over the fully resolved ``eigen_structure``, which
+checks the Jordan indices ``classify_convergence`` resolves on demand; and
+``loop_parse_matrix``, the token-by-token matrix parser, which checks the
+per-row fast path of ``parse_matrix``.
 """
 
 import dataclasses
@@ -354,9 +355,9 @@ def dense_iterate(
 def bt_moment_loop(
     geom: PairGeometry, x0: np.ndarray, eps: float = 0.01, max_iter: int = 100000
 ) -> IterationTrace:
-    """BT as ``iterate`` runs it in the pair's principal coordinates, with
-    each moment sum(t^i a^2) taken as the last entry of an ``np.cumsum``
-    row, a sum in index order.
+    """BT as ``iterate`` runs it in the pair's principal coordinates when
+    K <= ``_FLOAT_LOOP_MAX_K``, with each moment sum(t^i a^2) taken as the
+    last entry of an ``np.cumsum`` row, a sum in index order.
 
     The first step repeats the engine's expressions, so both enter the
     moment loop with the same bits.  After it a step scales the U-plane

@@ -146,7 +146,10 @@ FLOAT_LOOP_MAX_K = projrates.methods._FLOAT_LOOP_MAX_K
 
 @st.composite
 def float_loop_runs(draw):
-    """A BT run on a pair with 1 to ``_FLOAT_LOOP_MAX_K`` nonzero angles.
+    """A BT run on a pair with 1 to ``_FLOAT_LOOP_MAX_K`` nonzero angles:
+    K is drawn from 1-16 in three examples of four and from 17 up in the
+    fourth, so that both bands are covered and the larger pairs, which
+    cost about twice as much to build and run, keep the test's time.
 
     Angles as ``runs`` draws them, plus angles below 1e-8, whose sin^4 is
     under the 1e-28 of the small-direction rule; a start in U skips the
@@ -154,7 +157,7 @@ def float_loop_runs(draw):
     that the rule fires once BT has shrunk the rest.  max_iter 0 and 1
     stop before and at the first step; eps 0 runs to max_iter.
     """
-    k = draw(st.integers(1, FLOAT_LOOP_MAX_K))
+    k = draw(st.integers(1, 16) if draw(st.integers(0, 3)) else st.integers(17, FLOAT_LOOP_MAX_K))
     s = draw(st.integers(0, 2))
     nonzero = st.one_of(angle.filter(lambda t: t > 0.0), st.floats(-12.0, -8.0).map(lambda e: 10.0**e))
     pool = draw(st.lists(nonzero, min_size=1, max_size=k))
@@ -193,18 +196,17 @@ def test_bt_float_loop_matches_array_oracle_bit_for_bit(case):
 
 @pytest.mark.parametrize("k", [FLOAT_LOOP_MAX_K, FLOAT_LOOP_MAX_K + 1])
 def test_bt_counts_match_dense_oracle_at_the_float_loop_cutoff(k, monkeypatch):
-    """On either side of the cutoff, BT takes the dense loop's steps: the
-    float loop at K = cutoff, the array loop one plane above."""
+    """On either side of the cutoff, BT takes the dense loop's steps: in
+    the float loop at K = cutoff, in the line-search loop one plane above."""
     loops = []
-    for name in ("_bt_float_loop", "_bt_array_loop"):
-        loop = getattr(projrates.methods, name)
-        monkeypatch.setattr(projrates.methods, name,
-                            lambda *args, name=name, loop=loop: loops.append(name) or loop(*args))
-    geom = pair_geometry(*canonical_pair(60, np.linspace(0.05, 1.4, k), k + 2, seed=k))
-    x0 = np.random.default_rng(k).standard_normal(60) * 10.0
+    loop = projrates.methods._bt_float_loop
+    monkeypatch.setattr(projrates.methods, "_bt_float_loop", lambda *args: loops.append(k) or loop(*args))
+    n = 2 * k + 4
+    geom = pair_geometry(*canonical_pair(n, np.linspace(0.05, 1.4, k), k + 2, seed=k))
+    x0 = np.random.default_rng(k).standard_normal(n) * 10.0
     got = iterate(MethodSpec("BT"), geom, x0, eps=1e-6)
     ref = oracles.dense_iterate(MethodSpec("BT"), oracles.extended_geometry(geom), x0, eps=1e-6)
-    assert loops == ["_bt_float_loop" if k <= FLOAT_LOOP_MAX_K else "_bt_array_loop"]
+    assert loops == ([k] if k <= FLOAT_LOOP_MAX_K else [])
     assert got.solved and ref.solved
     assert got.iterations == ref.iterations
 
