@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .methods import MethodSpec, DivergenceError, iterate, parse_method
+from .methods import X0_BOUND, MethodSpec, DivergenceError, iterate, parse_method
 from .subspaces import PairGeometry, canonical_pair, pair_geometry
 
 DEFAULT_PRIMARY_BINS = ((0.0, 0.05), (0.05, 0.1), (0.1, 0.5), (0.5, 1.0))
@@ -87,6 +87,8 @@ class CategoryGrid:
         for name in ("eps", "start_norm"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if self.start_norm >= X0_BOUND:
+            raise ValueError(f"start_norm must be below {X0_BOUND:g}, got {self.start_norm!r}")
 
     def primary_label(self, i: int) -> str:
         return f"W{i + 1}"

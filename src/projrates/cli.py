@@ -34,6 +34,7 @@ from .bench import (
 )
 from .matio import read_matrix, read_vector
 from .methods import (
+    X0_BOUND,
     DivergenceError,
     convergence_interval,
     fit_rate,
@@ -63,11 +64,6 @@ def _fmt_eig(z: complex) -> str:
 def _load_geometry(u_file: str, v_file: str, zero_tol: float):
     u = subspace_from_spanning(read_matrix(u_file))
     v = subspace_from_spanning(read_matrix(v_file))
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {u_file} has {u.ambient_dim}, "
-            f"{v_file} has {v.ambient_dim}"
-        )
     return pair_geometry(u, v, zero_tol=zero_tol)
 
 
@@ -147,8 +143,8 @@ def _check_seed(seed: int) -> None:
 
 def cmd_solve(args) -> int:
     _check_seed(args.seed)
-    if not 0.0 < args.x0_norm < math.inf:
-        raise ValueError(f"--x0-norm must be finite and > 0, got {args.x0_norm!r}")
+    if not 0.0 < args.x0_norm < X0_BOUND:
+        raise ValueError(f"--x0-norm must be > 0 and below {X0_BOUND:g}, got {args.x0_norm!r}")
     geom = _load_geometry(args.u_file, args.v_file, args.zero_tol)
     spec = parse_method(args.method)
     prediction = predict_rate(spec, geom)

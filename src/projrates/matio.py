@@ -20,9 +20,10 @@ class MatrixFormatError(ValueError):
 def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
     """Parse the ``n m`` + rows text format into a float array.
 
-    Each row is converted with one ``map(float, ...)``; only a file with a
-    bad row or a non-finite entry takes the token-by-token slow path, which
-    names the line, row and column of its first problem."""
+    Each row is converted with one ``map(float, ...)``.  Only a row that
+    does not parse or holds a non-finite entry is scanned token by token,
+    for the first bad entry, whose line, row and column the error names;
+    every earlier row has passed, so that is the file's first problem."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -53,30 +54,18 @@ def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
         )
 
     out = np.empty((n, m), dtype=float)
-    try:
-        for i, (_, row) in enumerate(rows):
-            values = list(map(float, row.split()))
-            if len(values) != m:
-                break
-            out[i] = values
-        else:
-            if np.isfinite(out).all():
-                return out
-    except ValueError:
-        pass
-    _raise_first_bad_entry(rows, m, name)
-
-
-def _raise_first_bad_entry(rows, m: int, name: str) -> None:
-    """The slow path of ``parse_matrix``: walk the rows token by token and
-    raise for the first short or long row, unparsable token or non-finite
-    entry, naming its line, row and column."""
     for i, (lineno, row) in enumerate(rows):
         entries = row.split()
         if len(entries) != m:
             raise MatrixFormatError(
                 f"{name}, line {lineno} (row {i + 1}): expected {m} entries, found {len(entries)}"
             )
+        try:
+            out[i] = list(map(float, entries))
+            if np.isfinite(out[i]).all():
+                continue
+        except ValueError:
+            pass
         for j, token in enumerate(entries):
             try:
                 value = float(token)
@@ -88,7 +77,7 @@ def _raise_first_bad_entry(rows, m: int, name: str) -> None:
                     f"{name}, line {lineno} (row {i + 1}, col {j + 1}): "
                     f"{problem} {token!r}; expected a finite number"
                 )
-    raise AssertionError("the fast path of parse_matrix failed on rows that parse")
+    return out
 
 
 def format_matrix(a: np.ndarray) -> str:

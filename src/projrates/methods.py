@@ -35,6 +35,11 @@ KINDS = RELAXED_KINDS + FIXED_KINDS
 
 #: kinds whose monitored sequence is the P_V shadow of the orbit
 SHADOW_KINDS = ("R", "DR")
+
+#: starts must have entries below this in magnitude: squared norms then stay
+#: finite, and the counts equal those of the same start scaled to norm 1
+X0_BOUND = 1e150
+
 #: the relaxed family each fixed linear kind is the mu = 1 member of
 _RELAXED_OF = {"MAP": "T", "DR": "R"}
 
@@ -312,9 +317,13 @@ def iterate(
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != geom.ambient_dim:
         raise ValueError(f"x0 has dimension {x.size}, expected {geom.ambient_dim}")
-    if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise ValueError(f"x0 has a non-finite entry {float(x[bad])} at index {bad}")
+    bad = np.flatnonzero(~(np.abs(x) < X0_BOUND))  # NaN too
+    if bad.size:
+        kind = "an entry" if math.isfinite(x[bad[0]]) else "a non-finite entry"
+        raise ValueError(
+            f"x0 has {kind} {float(x[bad[0]])} at index {bad[0]}; "
+            f"entries must be finite and below {X0_BOUND:g} in magnitude"
+        )
     mu = resolve_mu(spec, geom)
     frame = geom.frame
     parts = frame.split(x)

@@ -36,13 +36,12 @@ class Subspace:
             raise ValueError(f"basis must be a 2-d array, got ndim {q.ndim}")
         if q.shape[1] > q.shape[0]:
             raise ValueError(f"basis has more columns than rows: {q.shape}")
-        if q.shape[1] > 0:
-            defect = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
-            if defect > 1e-12:
-                raise ValueError(
-                    f"basis columns are not orthonormal (defect {defect:.2e}); "
-                    "use subspace_from_spanning to orthonormalize"
-                )
+        defect = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+        if not defect <= 1e-12:  # a NaN entry makes the defect NaN
+            raise ValueError(
+                f"basis columns are not orthonormal (defect {defect:.2e}); "
+                "use subspace_from_spanning to orthonormalize"
+            )
         object.__setattr__(self, "basis", q)
 
     @property
@@ -70,8 +69,6 @@ def subspace_from_spanning(m: np.ndarray, rank_tol: float | None = None) -> Subs
 def projector(space: Subspace) -> np.ndarray:
     """Orthogonal projector onto the subspace."""
     q = space.basis
-    if q.shape[1] == 0:
-        return np.zeros((q.shape[0], q.shape[0]))
     return q @ q.T
 
 
@@ -183,18 +180,25 @@ class PairGeometry:
     Conventions: ``U`` is the smaller subspace (inputs are swapped if
     needed), both are proper and nontrivial, and ``angles`` are the
     ``p = dim U`` principal angles in ascending order.  ``theta_F`` is None
-    exactly when U is contained in V.  The bases and the angles are the whole
-    pair: ``frame``, the intersection ``M`` it decides, and the projectors
-    ``P_U``, ``P_V`` and ``P_M`` (onto ``M``, the zero matrix when it is
-    trivial) are built from them on first use.
+    exactly when U is contained in V; it and ``theta_p`` are read off the
+    angles.  The bases and the angles are the whole pair: ``frame``, the
+    intersection ``M`` it decides, and the projectors ``P_U``, ``P_V`` and
+    ``P_M`` (onto ``M``, the zero matrix when it is trivial) are built from
+    them on first use.
     """
 
     U: Subspace
     V: Subspace
     angles: np.ndarray
     s: int
-    theta_F: float | None
-    theta_p: float
+
+    @property
+    def theta_F(self) -> float | None:
+        return float(self.angles[self.s]) if self.s < self.p else None
+
+    @property
+    def theta_p(self) -> float:
+        return float(self.angles[-1])
 
     @property
     def p(self) -> int:
@@ -269,13 +273,10 @@ def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeome
     # call every pair nested
     if not 0.0 <= zero_tol < np.pi / 2:
         raise ValueError(f"zero_tol must be >= 0 and below pi/2, got {zero_tol!r}")
-    _check_pair(u, v)
+    angles = principal_angles(u, v)
     if u.dim > v.dim:
         u, v = v, u
-    angles = principal_angles(u, v)
-    s = int(np.count_nonzero(angles <= zero_tol))
-    theta_f = float(angles[s]) if s < len(angles) else None
-    return PairGeometry(U=u, V=v, angles=angles, s=s, theta_F=theta_f, theta_p=float(angles[-1]))
+    return PairGeometry(U=u, V=v, angles=angles, s=int(np.count_nonzero(angles <= zero_tol)))
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -312,7 +313,7 @@ def canonical_pair(
         q = p
     if p < 1:
         raise ValueError("need at least one angle")
-    if np.any(angles < 0) or np.any(angles > np.pi / 2 + 1e-15):
+    if not np.all((angles >= 0) & (angles <= np.pi / 2 + 1e-15)):  # NaN fails too
         raise ValueError("angles must lie in [0, pi/2]")
     if np.any(np.diff(angles) < 0):
         raise ValueError("angles must be ascending")
@@ -353,11 +354,13 @@ def geometry_from_dict(d: dict) -> PairGeometry:
     if u.dim != int(d["p"]) or v.dim != int(d["q"]):
         raise ValueError("basis widths disagree with the stored dimensions")
     _check_pair(u, v)
-    return PairGeometry(
-        U=u,
-        V=v,
-        angles=np.asarray(d["angles"], dtype=float),
-        s=int(d["s"]),
-        theta_F=None if d["theta_F"] is None else float(d["theta_F"]),
-        theta_p=float(d["theta_p"]),
-    )
+    if u.dim > v.dim:
+        raise ValueError(f"U must be the smaller subspace, got p={u.dim} > q={v.dim}")
+    angles = np.asarray(d["angles"], dtype=float)
+    in_range = np.all((angles >= 0) & (angles <= np.pi / 2))  # NaN fails too
+    if angles.shape != (u.dim,) or not in_range or np.any(np.diff(angles) < 0):
+        raise ValueError(f"need {u.dim} ascending angles in [0, pi/2], got {d['angles']!r}")
+    s = int(d["s"])
+    if not 0 <= s <= u.dim:
+        raise ValueError(f"need 0 <= s <= p = {u.dim}, got s={s}")
+    return PairGeometry(U=u, V=v, angles=angles, s=s)

@@ -22,7 +22,7 @@ from projrates.bench import (
     start_vector,
     table_from_records,
 )
-from projrates.methods import MethodSpec, iterate
+from projrates.methods import DivergenceError, MethodSpec, iterate
 from projrates.subspaces import intersection
 
 TINY = CategoryGrid(
@@ -76,6 +76,7 @@ def test_grid_labels():
         dict(eps=math.inf),
         dict(start_norm=math.inf),
         dict(eps=math.nan),
+        dict(start_norm=1e150),  # squared norms of such starts could overflow
     ],
 )
 def test_grid_rejects_bad_config(kwargs):
@@ -235,6 +236,22 @@ def test_unsolved_instances_counted_at_max_iter():
     assert stats["unsolved"] == 2
     assert stats["median"] == 2.0
     assert all(r.iterations == 2 and not r.solved for r in table.records)
+
+
+def test_diverging_instances_counted_unsolved_at_max_iter():
+    # T at mu = 2.5 leaves the convergent range (0, 2): every run raises
+    # DivergenceError long before max_iter, and run_grid records it there
+    table = run_grid(TINY, ["T:2.5", "MAP"], master_seed=3)
+    diverged = [r for r in table.records if r.method == "T:2.5"]
+    assert len(diverged) == 16
+    assert all(r.iterations == TINY.max_iter and not r.solved for r in diverged)
+    assert table.stats(0, "T:2.5")["unsolved"] == 8
+    rec = diverged[0]
+    geom = sample_pair(TINY, (rec.primary_index, int(rec.cell.split("Z")[1]) - 1), rec.pair_seed)
+    x0 = start_vector(TINY.ambient_dim, rec.start_seed, norm=TINY.start_norm)
+    with pytest.raises(DivergenceError) as exc:
+        iterate(MethodSpec("T", mu=2.5), geom, x0, eps=TINY.eps, max_iter=TINY.max_iter)
+    assert exc.value.step < TINY.max_iter
 
 
 def test_fast_cell_ordering():

@@ -97,6 +97,20 @@ def test_report_json_matches_generic_encoder(limit, warnings):
     assert _json_dumps(report_to_dict(report)) == json.dumps(report_to_dict(report), indent=2)
 
 
+def test_analyze_names_complex_subdominant_eigenvalues(tmp_path, capsys):
+    c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
+    a = np.zeros((3, 3))
+    a[0, 0] = 1.0
+    a[1:, 1:] = 0.5 * np.array([[c, -s], [s, c]])
+    path = tmp_path / "rot.mat"
+    write_matrix(path, a)
+    assert main(["analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for sign in "+-":
+        line = f"  subdominant eigenvalue 0.25{sign}0.433012701892j: multiplicity 1, index 1, semisimple"
+        assert line in lines
+
+
 def test_analyze_missing_file(files, capsys):
     assert main(["analyze", "nope.mat"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -301,6 +315,33 @@ def test_solve_divergent_mu_exits_3(files, capsys):
     assert data["solved"] is False
 
 
+def test_solve_divergent_run_text_names_the_step(files, capsys):
+    _, _, _, u_file, v_file = files
+    assert main(["solve", str(u_file), str(v_file), "--method", "T:2.5", "--seed", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2:] == ["diverged at iteration 69", "fitted rate: n/a"]
+    assert "at iteration 69; the scheme does not converge here" in captured.err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("method", ["BT", "S:best", "MAP"])
+def test_solve_start_below_the_bound_counts_as_at_norm_1(files, capsys, method):
+    _, _, _, u_file, v_file = files
+    runs = []
+    for norm, eps in (("1", "0.01"), ("1e149", "1e147")):
+        assert main(["solve", str(u_file), str(v_file), "--method", method, "--json",
+                     "--x0-norm", norm, "--eps", eps]) == 0
+        runs.append(_strict_json(capsys.readouterr().out))
+    assert runs[1]["iterations"] == runs[0]["iterations"]
+    assert math.isfinite(runs[1]["final_distance"])
+
+
 def test_solve_nested_pair_is_input_error(tmp_path, capsys):
     a = tmp_path / "a.mat"
     write_matrix(a, np.eye(4)[:, :1])
@@ -329,7 +370,7 @@ def test_solve_bad_method_exits_1(files, capsys, method):
     assert method.partition(":")[0] in captured.err
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e150", "1e151"])
 def test_solve_bad_x0_norm_exits_1(files, capsys, value):
     _, _, _, u_file, v_file = files
     assert main(["solve", str(u_file), str(v_file), "--method", "MAP",
@@ -462,6 +503,37 @@ def test_bench_non_finite_config_names_field_before_out(tmp_path, capsys, field)
     assert not (tmp_path / "x").exists()
 
 
+def test_bench_start_norm_at_the_bound_exits_1_before_out(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"start_norm": 1e151}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "start_norm must be below 1e+150, got 1e+151" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_bench_start_norm_below_the_bound_keeps_the_counts(tiny_config, tmp_path, capsys):
+    outs = []
+    for norm, eps in ((1.0, 0.01), (1e149, 1e147)):
+        cfg = tmp_path / f"grid{norm:g}.json"
+        cfg.write_text(json.dumps({**json.loads(tiny_config.read_text()), "start_norm": norm, "eps": eps}))
+        outs.append(tmp_path / f"out{norm:g}")
+        assert main(["bench", "--config", str(cfg), "--seed", "7", "--out", str(outs[-1]),
+                     "--methods", "T:best,S:best,R:best,MAP,DR,BT,AT"]) == 0
+    capsys.readouterr()
+    assert (outs[0] / "records.csv").read_bytes() == (outs[1] / "records.csv").read_bytes()
+
+
+def test_bench_json_carries_the_report_stats(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(tiny_config), "--seed", "7",
+                 "--out", str(out), "--methods", "BT,MAP", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["master_seed"] == 7 and data["out"] == str(out)
+    assert main(["report", str(out / "records.csv"), "--json"]) == 0
+    assert data["stats"] == json.loads(capsys.readouterr().out)["stats"]
+    assert list(data["stats"]) == ["BT", "MAP"]
+
+
 @pytest.mark.parametrize("methods, message", [
     ("X", "unknown method 'X'"),
     (" , ", "need at least one method"),
@@ -543,6 +615,17 @@ def test_report_names_missing_columns(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "missing column(s) cell, pair_index," in err
     assert "Traceback" not in err
+
+
+def test_report_header_only_exits_1(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "cell,pair_index,start_index,pair_seed,start_seed,theta_F,theta_p,method,iterations,solved\n"
+    )
+    assert main(["report", str(records)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {records}: no records found\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("row", [

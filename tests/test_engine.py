@@ -2,6 +2,7 @@
 projector loop ``oracles.dense_iterate``."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import projrates.methods
 from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
-from projrates.methods import DivergenceError, MethodSpec, iterate
+from projrates.methods import DivergenceError, MethodSpec, iterate, parse_method
 from projrates.subspaces import EPS, canonical_pair, haar_orthogonal, pair_geometry
 
 KINDS = ("T", "S", "R", "MAP", "DR", "BT", "AT")
@@ -436,6 +437,29 @@ def test_non_finite_start_rejected(bad):
     x0[4] = bad
     with pytest.raises(ValueError, match=f"non-finite entry {bad} at index 4"):
         iterate(MethodSpec("MAP"), geom, x0)
+
+
+@pytest.mark.parametrize("label", ["T:best", "S:best", "R:best", "S:1.5", "MAP", "DR", "BT", "AT"])
+def test_start_below_the_bound_counts_as_at_norm_1(label):
+    """A start just below X0_BOUND keeps its orbit finite: with eps scaled
+    alike, every method takes the steps it takes from the unit start."""
+    geom = pair_geometry(*canonical_pair(20, [0.0, 0.05, 0.3, 0.9], q=6, seed=1))
+    x0 = start_vector(20, 1, norm=1.0)
+    spec = parse_method(label)
+    unit = iterate(spec, geom, x0, eps=0.01)
+    big = iterate(spec, geom, 1e149 * x0, eps=1e147)
+    assert unit.solved and big.iterations == unit.iterations
+    assert np.isfinite(big.distances).all()
+
+
+def test_start_at_or_above_the_bound_rejected():
+    geom = pair_geometry(*canonical_pair(6, [0.0, 0.5], seed=1))
+    for big in (1e150, -1e151):
+        x0 = np.ones(6)
+        x0[4] = big
+        message = f"an entry {big} at index 4; entries must be finite and below 1e+150"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iterate(MethodSpec("BT"), geom, x0)
 
 
 def test_distance_is_to_the_constructed_intersection_next_to_tiny_angle():

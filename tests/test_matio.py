@@ -146,9 +146,13 @@ def test_parse_matches_token_loop_oracle(text):
 
 
 def test_parse_takes_no_token_loop_on_good_input(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("slow path taken")
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError("token scan entered")
 
-    monkeypatch.setattr(projrates.matio, "_raise_first_bad_entry", refuse)
+    # the token scan is the only user of math in matio
+    monkeypatch.setattr(projrates.matio, "math", Refuse())
     text = "# c\n2 3\n1 -0 1_0\n\n  4e-320 5 6  \n"
     assert parse_matrix(text).tobytes() == loop_parse_matrix(text).tobytes()
+    with pytest.raises(AssertionError, match="token scan entered"):
+        parse_matrix("2 2\n1 2\n3 inf\n")

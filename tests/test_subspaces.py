@@ -345,6 +345,55 @@ def test_geometry_from_dict_rejects_bad_bases():
         geometry_from_dict({**d, "V": np.eye(6)[:, :3].tolist()})
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(angles=[0.0]), "need 2 ascending angles"),
+    (dict(angles=[0.0, 0.6, 0.7]), "need 2 ascending angles"),
+    (dict(angles=[0.0, math.nan]), "need 2 ascending angles"),
+    (dict(angles=[0.6, 0.0]), "need 2 ascending angles"),
+    (dict(angles=[0.0, 1.6]), "need 2 ascending angles"),
+    (dict(angles=[-0.1, 0.6]), "need 2 ascending angles"),
+    (dict(s=3), "need 0 <= s <= p = 2"),
+    (dict(s=-1), "need 0 <= s <= p = 2"),
+    (dict(U=[[math.nan, 0.0]] + [[0.0, 0.0]] * 6), "not orthonormal"),
+], ids=["one-angle", "three-angles", "nan-angle", "descending", "past-right-angle",
+        "negative-angle", "s-above-p", "negative-s", "nan-basis"])
+def test_geometry_from_dict_rejects_bad_measurements(change, message):
+    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
+    with pytest.raises(ValueError, match=message):
+        geometry_from_dict({**d, **change})
+
+
+def test_geometry_from_dict_rejects_swapped_pair():
+    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
+    with pytest.raises(ValueError, match="U must be the smaller subspace, got p=3 > q=2"):
+        geometry_from_dict({**d, "U": d["V"], "V": d["U"], "p": 3, "q": 2})
+
+
+def test_geometry_from_dict_reads_thetas_off_the_angles():
+    geom = pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18))
+    d = {**geometry_to_dict(geom), "theta_F": None, "theta_p": 5.0}
+    back = geometry_from_dict(d)
+    assert back.theta_F == geom.theta_F == geom.angles[1]
+    assert back.theta_p == geom.theta_p == geom.angles[1]
+    nested = geometry_from_dict({**d, "s": 2})
+    assert nested.theta_F is None
+
+
+def test_nan_basis_and_nan_angle_rejected():
+    with pytest.raises(ValueError, match=r"not orthonormal \(defect nan\)"):
+        Subspace(np.full((3, 1), np.nan))
+    with pytest.raises(ValueError, match=r"angles must lie in \[0, pi/2\]"):
+        canonical_pair(6, [0.1, math.nan], 2)
+
+
+def test_pair_geometry_names_the_bad_subspace_in_callers_order():
+    line = Subspace(np.eye(3)[:, :1])
+    with pytest.raises(ValueError, match="second subspace is the zero subspace"):
+        pair_geometry(line, subspace_from_spanning(np.zeros((3, 1))))
+    with pytest.raises(ValueError, match="first subspace is the full space"):
+        pair_geometry(Subspace(np.eye(3)), line)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_random_pair_angles_agree_with_scipy(seed):
