@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -308,10 +309,13 @@ def iterate(
     every scheme acts on one 2x2 block per nonzero angle and as a scalar on
     V ∩ U-perp and on (U + V)-perp, and fixes U ∩ V.  A step costs O(p)
     instead of a dense O(n^2) matrix-vector product; the linear schemes
-    advance whole chunks of steps at once (``_linear_orbit``).
+    advance whole chunks of steps at once (``_linear_orbit``), sized from
+    the closed-form rate.
     """
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     x = np.asarray(x0, dtype=float).ravel()
@@ -330,7 +334,9 @@ def iterate(
     if spec.kind in ("BT", "AT"):
         orbit, mu_history, coords = _adaptive_orbit(spec, frame, parts, eps, max_iter)
     else:
-        orbit, coords = _linear_orbit(spec, mu, frame, parts, eps, max_iter)
+        kind = _RELAXED_OF.get(spec.kind, spec.kind)
+        gamma = None if geom.theta_F is None else _subdominant_modulus(kind, mu, geom)
+        orbit, coords = _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter)
         mu_history = ()
     return IterationTrace(
         method=spec.label,
@@ -385,11 +391,29 @@ class _Orbit:
 
 #: a chunk of linear steps holds at most this many block-step states
 _CHUNK_ELEMENTS = 1 << 16
-#: steps in the first chunk of a linear run; later chunks double
+#: steps in the first chunk of a linear run without a plan, and the fewest in
+#: any chunk
 _FIRST_CHUNK = 16
 
 
-def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
+def _chunk_steps(gamma, d, eps, previous, most):
+    """Steps in the next chunk of a linear run that stands at distance d,
+    where ``previous`` were in the chunk before (0 before the first).
+
+    Each chunk takes as many steps as the closed-form rate gamma
+    (``_subdominant_modulus``) needs from d to eps, ceil(log(eps/d) /
+    log(gamma)), within [``_FIRST_CHUNK``, ``most``].  Without a plan (gamma
+    None for a nested pair, gamma outside (0, 1), eps = 0 or d <= eps) the
+    first chunk takes ``_FIRST_CHUNK`` steps and each later one doubles.
+    Only sizes follow from it: each step is still tested against eps.
+    """
+    if gamma is not None and 0.0 < gamma < 1.0 and 0.0 < eps < d < math.inf:
+        planned = math.ceil((math.log(eps) - math.log(d)) / math.log(gamma))
+        return min(max(planned, _FIRST_CHUNK), most)
+    return min(2 * previous, most) if previous else _FIRST_CHUNK
+
+
+def _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter):
     """T/S/R/MAP/DR in principal coordinates.
 
     Row k < K holds the (u_k, w_k) coordinates of plane k, on which the
@@ -400,7 +424,9 @@ def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
     (0, 0) and (1 - mu, 1) respectively.  A chunk of m steps is filled by
     doubling: the states at steps h..2h-1 are B^h times those at 0..h-1, with
     B^h from repeated squaring, so a chunk costs O(K m) multiplications in
-    log2(m) batched 2x2 products.
+    log2(m) batched 2x2 products.  ``_chunk_steps`` sizes each chunk from
+    the closed-form rate gamma (None on a nested pair), so that most runs
+    that stop take one or two chunks.
     """
     along_u, along_w, in_extra, rest = parts
     s, c, sn = frame.s, frame.cos, frame.sin
@@ -432,9 +458,11 @@ def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
             return np.sqrt(np.einsum("rct,rct->t", states, states))
 
     orbit = _Orbit(spec.label, float(monitored(state[:, :, None])[0]), eps, max_iter)
-    size = _FIRST_CHUNK
+    size, most = 0, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        while m := min(size, orbit.left()):
+        while left := orbit.left():
+            size = _chunk_steps(gamma, orbit.distances[-1], eps, size, most)
+            m = min(size, left)
             states = np.empty((rows, 2, m + 1))
             states[:, :, 0] = state
             h, i = 1, 0
@@ -445,7 +473,6 @@ def _linear_orbit(spec, mu, frame, parts, eps, max_iter):
                 np.matmul(powers[i], states[:, :, :k], out=states[:, :, h : h + k])
                 h, i = h + k, i + 1
             state = states[:, :, orbit.extend(monitored(states[:, :, 1:]))]
-            size = min(2 * size, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows))
     orbit.settle()
 
     along_u = along_u.copy()

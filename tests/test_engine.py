@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import projrates.methods
 from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
-from projrates.methods import DivergenceError, MethodSpec, iterate, parse_method
+from projrates.methods import SHADOW_KINDS, DivergenceError, MethodSpec, iterate, parse_method, predict_rate
 from projrates.subspaces import EPS, canonical_pair, haar_orthogonal, pair_geometry
 
 KINDS = ("T", "S", "R", "MAP", "DR", "BT", "AT")
@@ -506,16 +506,126 @@ def test_zero_steps_record_only_the_start(kind, eps):
     assert trace.iterations == (0 if trace.solved else None)
 
 
-@pytest.mark.parametrize("stop", [projrates.methods._FIRST_CHUNK, projrates.methods._FIRST_CHUNK + 1])
-def test_linear_run_stopping_at_a_chunk_edge_matches_dense_oracle(stop):
-    """A MAP run that stops on the last step of the first chunk, or on the
-    first step of the second, takes the dense loop's steps."""
+FIRST_CHUNK = projrates.methods._FIRST_CHUNK
+CHUNK_ELEMENTS = projrates.methods._CHUNK_ELEMENTS
+
+
+@pytest.mark.parametrize("first_chunk", [40, 39])
+def test_linear_run_stopping_at_a_chunk_edge_matches_dense_oracle(first_chunk):
+    """A MAP run that stops at step 40, on the last step of its planned
+    first chunk (40 steps), or on the first step of the second (39), takes
+    the dense loop's steps.  The start lies in V, in the plane of theta_F:
+    d_n = cos(theta_F)^(2n - 1) d_0, so that the plan at rate
+    gamma = cos^2(theta_F) falls half a step short, and an eps in the lower
+    half of (d_39, d_40) plans 39 steps, in the upper half 40."""
+    stop = 40
     geom = pair_geometry(*canonical_pair(12, [0.0, 0.2, 0.9], q=4, seed=5))
-    x0 = np.random.default_rng(3).standard_normal(12)
-    d = iterate(MethodSpec("MAP"), geom, x0, eps=0.0, max_iter=stop + 1).distances
-    eps = math.sqrt(d[stop - 1] * d[stop])  # strictly between the two distances
-    got = iterate(MethodSpec("MAP"), geom, x0, eps=eps)
-    ref = oracles.dense_iterate(MethodSpec("MAP"), oracles.extended_geometry(geom), x0, eps=eps)
+    f = geom.frame
+    along_u, along_w = np.zeros(f.u.shape[1]), np.zeros(f.w.shape[1])
+    along_u[f.s], along_w[0] = f.cos[0], f.sin[0]
+    x0 = f.join(along_u, along_w, np.zeros(f.e.shape[1]), 0.0)
+    spec = MethodSpec("MAP")
+    d = iterate(spec, geom, x0, eps=0.0, max_iter=stop + 1).distances
+    gamma = predict_rate(spec, geom).gamma
+    for t in np.linspace(0.0, 1.0, 21)[1:-1]:
+        eps = d[stop - 1] ** (1.0 - t) * d[stop] ** t  # strictly between the two distances
+        if projrates.methods._chunk_steps(gamma, d[0], eps, 0, CHUNK_ELEMENTS) == first_chunk:
+            break
+    else:
+        pytest.fail(f"no eps in (d_{stop - 1}, d_{stop}) plans a first chunk of {first_chunk}")
+    got = iterate(spec, geom, x0, eps=eps)
+    ref = oracles.dense_iterate(spec, oracles.extended_geometry(geom), x0, eps=eps)
     assert got.iterations == ref.iterations == stop
     np.testing.assert_allclose(got.distances, ref.distances, rtol=1e-12)
     np.testing.assert_allclose(got.x_final, ref.x_final, rtol=0, atol=1e-12 * np.linalg.norm(x0))
+
+
+def _sixteen_then_double(gamma, d, eps, previous, most):
+    """The chunk sizes of a linear run without a plan."""
+    return min(2 * previous, most) if previous else FIRST_CHUNK
+
+
+@st.composite
+def planned_runs(draw):
+    """A linear run whose chunk plan may be missing, far too long or too
+    short.
+
+    Two runs in three have a plan, and most of those stop.  The others: a
+    nested pair (every angle 0); mu = 0 (gamma 0), at the edge of the
+    convergence interval (gamma 1) or beyond it (gamma above 1); eps = 0;
+    max_iter below the first planned chunk.  On a pair with a small
+    theta_F, a start in the plane of theta_p alone converges at that
+    plane's rate, far faster than gamma: DR's plan then overshoots by 50
+    times and more.  T:best's plan falls short where its non-normal 2x2
+    blocks delay the decay, up to 1.34 times on the seed-7 desk table.
+    """
+    shape = draw(st.sampled_from(("random", "random", "spread", "spread", "nested")))
+    s, k = draw(st.integers(0, 2)), draw(st.integers(1, 3) if shape == "random" else st.integers(2, 3))
+    if shape == "nested":
+        angles = [0.0] * (s + k)
+    else:
+        planes = draw(st.lists(st.floats(0.02, math.pi / 2), min_size=k, max_size=k))
+        if shape == "spread":  # a small theta_F and a large theta_p
+            planes[0], planes[-1] = draw(st.floats(1e-3, 0.1)), draw(st.floats(1.0, math.pi / 2))
+        angles = [0.0] * s + sorted(planes)
+    p = s + k
+    q = p + draw(st.integers(0, 2))
+    n = p + q + draw(st.integers(0, 2))
+    geom = pair_geometry(*canonical_pair(n, angles, q, seed=draw(st.integers(0, 2**32 - 1))))
+    nested = shape == "nested"
+    kind = draw(st.sampled_from(("T", "S", "R", "MAP", "DR")))
+    if kind in ("T", "S", "R"):
+        edge = 2.0 / math.sin(geom.theta_p) ** 2 if kind == "S" and not nested else 2.0
+        where = draw(st.sampled_from((() if nested else ("best", "best")) + ("inside", "inside", "edge", "beyond", "zero")))
+        if where == "best":
+            spec = MethodSpec(kind, best=True)
+        else:
+            factor = {"zero": 0.0, "edge": 1.0,
+                      "inside": draw(st.floats(0.2, 0.99)),
+                      "beyond": draw(st.floats(1.01, 1.5))}[where]
+            spec = MethodSpec(kind, mu=edge * factor)
+    else:
+        spec = MethodSpec(kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = geom.frame
+    if not nested and draw(st.booleans()):  # in the plane of theta_p alone
+        along_u, along_w = np.zeros(p), np.zeros(k)
+        along_u[-1], along_w[-1] = rng.standard_normal(2)
+        x0 = f.join(along_u, along_w, np.zeros(q - p), 0.0)
+    else:
+        x0 = rng.standard_normal(n)
+    x0 = x0 * draw(st.floats(0.5, 10.0))
+    eps = draw(st.sampled_from((1.0, 1.0, 1.0, 0.0))) * 10.0 ** draw(st.floats(-12.0, 0.0))
+    few = draw(st.sampled_from((False, False, False, True)))
+    max_iter = draw(st.integers(0, 2 * FIRST_CHUNK) if few else st.just(20000))
+    return spec, geom, x0, eps, max_iter
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(planned_runs())
+def test_a_chunk_plan_never_changes_an_answer(case):
+    """The run with planned chunks and the run with chunks of 16 that double
+    have the same outcome, count, divergence step and length, and
+    distances within a relative 1e-12: the plan moves only where chunks
+    begin, and so how the steps' products are grouped.
+
+    R and DR monitor a shadow, which can cancel to far below the norm of
+    the state it is read from.  Their blocks are scaled rotations, so that
+    norm is at most gamma^n |x0| at step n; on a pair with a nonzero angle
+    their distances may also differ by 1e-12 of that."""
+    spec, geom, x0, eps, max_iter = case
+    got = _outcome(iterate, spec, geom, x0, eps, max_iter)
+    with mock.patch.object(projrates.methods, "_chunk_steps", _sixteen_then_double):
+        ref = _outcome(iterate, spec, geom, x0, eps, max_iter)
+    if isinstance(ref, int):
+        assert got == ref
+        return
+    assert not isinstance(got, int), f"the planned run diverged at step {got}"
+    assert got.solved == ref.solved
+    assert got.iterations == ref.iterations
+    assert len(got.distances) == len(ref.distances)
+    tol = 1e-12 * ref.distances
+    if spec.kind in SHADOW_KINDS and geom.theta_F is not None:
+        gamma = predict_rate(spec, geom).gamma
+        tol += 1e-12 * gamma ** np.arange(len(tol)) * np.linalg.norm(x0)
+    assert np.all(np.abs(got.distances - ref.distances) <= tol)

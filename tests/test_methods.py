@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,21 @@ def test_iterate_rejects_wrong_dimension(geom_937):
 def test_iterate_rejects_bad_stopping_rule(geom_937, kwargs, name):
     with pytest.raises(ValueError, match=name):
         iterate(MethodSpec("MAP"), geom_937, np.ones(9), **kwargs)
+
+
+@pytest.mark.parametrize("label", ["MAP", "BT"])
+@pytest.mark.parametrize("max_iter", [10.5, 1e3, True, False, "10", None])
+def test_iterate_rejects_a_max_iter_that_is_not_an_integer(geom_937, label, max_iter):
+    with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer, got {max_iter!r}")):
+        iterate(parse_method(label), geom_937, np.ones(9), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("label", ["MAP", "BT"])
+def test_iterate_takes_a_numpy_integer_max_iter(geom_937, label):
+    x0 = np.random.default_rng(1).standard_normal(9)
+    got = iterate(parse_method(label), geom_937, x0, eps=0.0, max_iter=np.int64(7))
+    assert len(got.distances) == 8
+    assert got.distances.tobytes() == iterate(parse_method(label), geom_937, x0, eps=0.0, max_iter=7).distances.tobytes()
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
