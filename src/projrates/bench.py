@@ -90,7 +90,8 @@ class CategoryGrid:
         if self.start_norm >= X0_BOUND:
             raise ValueError(f"start_norm must be below {X0_BOUND:g}, got {self.start_norm!r}")
 
-    def primary_label(self, i: int) -> str:
+    @staticmethod
+    def primary_label(i: int) -> str:
         return f"W{i + 1}"
 
     def cell_label(self, i: int, j: int) -> str:
@@ -223,47 +224,73 @@ RECORD_COLUMNS = ("cell", "pair_index", "start_index", "pair_seed", "start_seed"
 
 @dataclass(frozen=True)
 class BenchmarkTable:
-    """All instance outcomes of one grid run plus the aggregation logic."""
+    """All instance outcomes of one grid run plus the aggregation logic.
 
-    grid: CategoryGrid
+    ``grid`` is None for a table rebuilt from records alone: its bins are
+    W1 up to the highest one a record names, and it has no bin edges."""
+
+    grid: CategoryGrid | None
     methods: tuple
     master_seed: int
     records: tuple
 
     @cached_property
-    def _groups(self) -> dict:
-        """The records by (primary bin index, method), from one scan."""
-        groups = {}
-        for r in self.records:
-            groups.setdefault((r.primary_index, r.method), []).append(r)
-        return groups
+    def bin_labels(self) -> tuple:
+        """W1, W2, ...: one label per primary bin."""
+        n_bins = (len(self.grid.primary_bins) if self.grid is not None
+                  else 1 + max(r.primary_index for r in self.records))
+        return tuple(map(CategoryGrid.primary_label, range(n_bins)))
 
-    def counts(self, primary_index: int, method: str) -> list:
-        """Sorted iteration counts of one (primary bin, method) group."""
-        return sorted(r.iterations for r in self._groups.get((primary_index, method), ()))
+    @cached_property
+    def _pairs(self) -> dict:
+        """Per method, its records by pair: (primary bin index, cell, pair
+        index, theta_F) -> records, from one scan."""
+        pairs = {}
+        for r in self.records:
+            key = (r.primary_index, r.cell, r.pair_index, r.theta_F)
+            pairs.setdefault(r.method, {}).setdefault(key, []).append(r)
+        return pairs
+
+    @cached_property
+    def bin_stats(self) -> dict:
+        """Per method, per bin label: median, mean and sample std of the
+        iteration counts, the unsolved and the instance count.  The summary,
+        its CSV and ``--json`` all read this mapping."""
+        n_bins = len(self.bin_labels)
+        stats = {}
+        for method in self.methods:
+            counts, unsolved = [[] for _ in range(n_bins)], [0] * n_bins
+            for (i, *_), group in self._pairs.get(method, {}).items():
+                if i < n_bins:
+                    counts[i] += (r.iterations for r in group)
+                    unsolved[i] += sum(not r.solved for r in group)
+            stats[method] = {
+                label: {
+                    "median": statistics.median(c) if c else math.nan,
+                    "mean": statistics.fmean(c) if c else math.nan,
+                    "std": statistics.stdev(c) if len(c) > 1 else 0.0,
+                    "unsolved": u,
+                    "instances": len(c),
+                }
+                for label, c, u in zip(self.bin_labels, map(sorted, counts), unsolved)
+            }
+        return stats
 
     def stats(self, primary_index: int, method: str) -> dict:
-        counts = self.counts(primary_index, method)
-        unsolved = sum(not r.solved for r in self._groups.get((primary_index, method), ()))
-        return {
-            "median": statistics.median(counts) if counts else math.nan,
-            "mean": statistics.fmean(counts) if counts else math.nan,
-            "std": statistics.stdev(counts) if len(counts) > 1 else 0.0,
-            "unsolved": unsolved,
-            "instances": len(counts),
-        }
+        """``bin_stats`` of one (primary bin, method) group."""
+        return dict(self.bin_stats[method][self.bin_labels[primary_index]])
 
     def summary_rows(self) -> list:
         """Summary table: a header, the instance counts, then one row per
         method and statistic, one column per primary bin.  Values are left
         unformatted."""
-        n_bins = len(self.grid.primary_bins)
+        first = self.bin_stats[self.methods[0]].values()
         rows = [
-            ["method", "statistic"] + [self.grid.primary_label(i) for i in range(n_bins)],
-            ["", "instances"] + [self.stats(i, self.methods[0])["instances"] for i in range(n_bins)],
+            ["method", "statistic", *self.bin_labels],
+            ["", "instances"] + [b["instances"] for b in first],
         ]
         for method in self.methods:
-            per_bin = [self.stats(i, method) for i in range(n_bins)]
+            per_bin = self.bin_stats[method].values()
             for stat in ("median", "mean", "std", "unsolved"):
                 rows.append([method, stat] + [b[stat] for b in per_bin])
         return rows
@@ -314,22 +341,13 @@ class BenchmarkTable:
         out_dir = pathlib.Path(out_dir)
         written = []
         for method in self.methods:
-            per_pair: dict = {}
-            for r in self.records:
-                if r.method == method:
-                    per_pair.setdefault((r.cell, r.pair_index, r.theta_F), []).append(
-                        r.iterations
-                    )
             rows = sorted(
-                (theta_f, statistics.median(sorted(counts)))
-                for (_, _, theta_f), counts in per_pair.items()
+                (theta_f, float(statistics.median(r.iterations for r in group)))
+                for (*_, theta_f), group in self._pairs.get(method, {}).items()
             )
             path = out_dir / f"profile_{method.replace(':', '_').replace('/', '_')}.csv"
-            with open(path, "w") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["theta_F", "median_iterations"])
-                for theta_f, med in rows:
-                    writer.writerow([repr(theta_f), repr(float(med))])
+            with open(path, "w") as fh:  # csv writes a float as its repr
+                csv.writer(fh, lineterminator="\n").writerows([("theta_F", "median_iterations"), *rows])
             written.append(path)
         return written
 
@@ -376,35 +394,17 @@ def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
                     x0 = start_vector(n, start_seed, norm=grid.start_norm)
                     for label, spec in specs:
                         try:
-                            trace = iterate(
-                                spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter
-                            )
-                            solved = trace.solved
-                            count = trace.iterations if solved else grid.max_iter
+                            trace = iterate(spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter)
                         except DivergenceError:
-                            solved = False
-                            count = grid.max_iter
-                        records.append(
-                            InstanceRecord(
-                                cell=grid.cell_label(i, j),
-                                primary_index=i,
-                                pair_index=k,
-                                start_index=m,
-                                pair_seed=pair_seed,
-                                start_seed=start_seed,
-                                theta_F=geom.theta_F,
-                                theta_p=geom.theta_p,
-                                method=label,
-                                iterations=count,
-                                solved=solved,
-                            )
-                        )
-    return BenchmarkTable(
-        grid=grid,
-        methods=tuple(label for label, _ in rules),
-        master_seed=int(master_seed),
-        records=tuple(records),
-    )
+                            trace = None
+                        solved = trace is not None and trace.solved
+                        records.append(InstanceRecord(
+                            cell=grid.cell_label(i, j), primary_index=i, pair_index=k, start_index=m,
+                            pair_seed=pair_seed, start_seed=start_seed, theta_F=geom.theta_F,
+                            theta_p=geom.theta_p, method=label,
+                            iterations=trace.iterations if solved else grid.max_iter, solved=solved))
+    return BenchmarkTable(grid=grid, methods=tuple(label for label, _ in rules),
+                          master_seed=int(master_seed), records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -452,20 +452,10 @@ def read_records_csv(fh) -> list:
 def table_from_records(records, grid: CategoryGrid | None = None) -> BenchmarkTable:
     """Reassemble a BenchmarkTable (methods in first-appearance order).
 
-    Statistics recomputed this way agree exactly with the original run;
-    seeds are carried in the records themselves.
+    Without ``grid`` the table has no bin edges: its bins run from W1 to the
+    highest one a record names.  Statistics recomputed this way agree
+    exactly with the original run; seeds are carried in the records
+    themselves.
     """
-    methods = []
-    for r in records:
-        if r.method not in methods:
-            methods.append(r.method)
-    if grid is None:
-        # placeholder bins: aggregation only needs the bin count and labels
-        n_primary = 1 + max((r.primary_index for r in records), default=0)
-        edges = np.linspace(0.0, math.pi / 2, n_primary + 1)
-        grid = CategoryGrid(
-            primary_bins=tuple((float(a), float(b)) for a, b in zip(edges, edges[1:]))
-        )
-    return BenchmarkTable(
-        grid=grid, methods=tuple(methods), master_seed=-1, records=tuple(records)
-    )
+    methods = tuple(dict.fromkeys(r.method for r in records))
+    return BenchmarkTable(grid=grid, methods=methods, master_seed=-1, records=tuple(records))

@@ -211,17 +211,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if solved else EXIT_NOT_SOLVED
 
 
-def _bin_stats(table) -> dict:
-    """Per method, per primary bin label: the statistics of ``--json``."""
-    return {
-        method: {
-            table.grid.primary_label(i): table.stats(i, method)
-            for i in range(len(table.grid.primary_bins))
-        }
-        for method in table.methods
-    }
-
-
 def cmd_bench(args) -> int:
     _check_seed(args.seed)
     for flag, value in (("--config", args.config), ("--methods", args.methods)):
@@ -244,9 +233,7 @@ def cmd_bench(args) -> int:
     table.export(out_dir)
 
     if args.json:
-        print(_json_dumps(
-            {"master_seed": args.seed, "out": str(out_dir), "stats": _bin_stats(table)}
-        ))
+        print(_json_dumps({"master_seed": args.seed, "out": str(out_dir), "stats": table.bin_stats}))
     else:
         print(table.format_summary())
         print(f"\nwrote {out_dir}/summary.csv, records.csv, and per-method profiles")
@@ -263,7 +250,7 @@ def cmd_report(args) -> int:
         with open(args.out, "w") as fh:
             table.write_summary_csv(fh)
     if args.json:
-        print(_json_dumps({"stats": _bin_stats(table)}))
+        print(_json_dumps({"stats": table.bin_stats}))
     else:
         print(table.format_summary())
     return EXIT_OK

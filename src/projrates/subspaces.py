@@ -179,24 +179,26 @@ class PairGeometry:
 
     Conventions: ``U`` is the smaller subspace (inputs are swapped if
     needed), both are proper and nontrivial, and ``angles`` are the
-    ``p = dim U`` principal angles in ascending order.  ``theta_F`` is None
-    exactly when U is contained in V; it and ``theta_p`` are read off the
-    angles.  The bases and the angles are the whole pair: ``frame``, the
-    intersection ``M`` it decides, and the projectors ``P_U``, ``P_V`` and
-    ``P_M`` (onto ``M``, the zero matrix when it is trivial) are built from
-    them on first use.
+    ``p = dim U`` principal angles in ascending order, of which the ``s``
+    at most ``zero_tol`` count as zero.  ``theta_F`` is None exactly when U
+    is contained in V; it and ``theta_p`` are read off the angles once.  The
+    bases and the angles are the whole pair: ``frame``, the intersection
+    ``M`` it decides, and the projectors ``P_U``, ``P_V`` and ``P_M`` (onto
+    ``M``, the zero matrix when it is trivial) are built from them on first
+    use.
     """
 
     U: Subspace
     V: Subspace
     angles: np.ndarray
     s: int
+    zero_tol: float = 1e-8
 
-    @property
+    @cached_property
     def theta_F(self) -> float | None:
         return float(self.angles[self.s]) if self.s < self.p else None
 
-    @property
+    @cached_property
     def theta_p(self) -> float:
         return float(self.angles[-1])
 
@@ -267,16 +269,21 @@ class PairGeometry:
         return PrincipalFrame(s=s, u=u, w=w, e=e, cos=cos, sin=sin)
 
 
-def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:
-    """Measure a pair of subspaces into a PairGeometry."""
+def _check_zero_tol(zero_tol: float) -> None:
     # every principal angle is at most pi/2: a tolerance that large would
     # call every pair nested
     if not 0.0 <= zero_tol < np.pi / 2:
         raise ValueError(f"zero_tol must be >= 0 and below pi/2, got {zero_tol!r}")
+
+
+def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:
+    """Measure a pair of subspaces into a PairGeometry."""
+    _check_zero_tol(zero_tol)
     angles = principal_angles(u, v)
     if u.dim > v.dim:
         u, v = v, u
-    return PairGeometry(U=u, V=v, angles=angles, s=int(np.count_nonzero(angles <= zero_tol)))
+    s = int(np.count_nonzero(angles <= zero_tol))
+    return PairGeometry(U=u, V=v, angles=angles, s=s, zero_tol=zero_tol)
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -341,6 +348,7 @@ def geometry_to_dict(geom: PairGeometry) -> dict:
         "q": geom.q,
         "angles": [float(a) for a in geom.angles],
         "s": geom.s,
+        "zero_tol": geom.zero_tol,
         "theta_F": geom.theta_F,
         "theta_p": geom.theta_p,
         "U": geom.U.basis.tolist(),
@@ -360,7 +368,11 @@ def geometry_from_dict(d: dict) -> PairGeometry:
     in_range = np.all((angles >= 0) & (angles <= np.pi / 2))  # NaN fails too
     if angles.shape != (u.dim,) or not in_range or np.any(np.diff(angles) < 0):
         raise ValueError(f"need {u.dim} ascending angles in [0, pi/2], got {d['angles']!r}")
-    s = int(d["s"])
-    if not 0 <= s <= u.dim:
-        raise ValueError(f"need 0 <= s <= p = {u.dim}, got s={s}")
-    return PairGeometry(U=u, V=v, angles=angles, s=s)
+    zero_tol = float(d.get("zero_tol", 1e-8))  # pair_geometry's default
+    _check_zero_tol(zero_tol)
+    s, zeros = int(d["s"]), int(np.count_nonzero(angles <= zero_tol))
+    if s != zeros:
+        raise ValueError(
+            f"s={s} disagrees with the angles: {zeros} of them are at most zero_tol={zero_tol!r}"
+        )
+    return PairGeometry(U=u, V=v, angles=angles, s=s, zero_tol=zero_tol)

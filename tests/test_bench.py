@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -300,6 +301,36 @@ def test_table_from_records_reaggregates(tiny_table):
     for i in (0, 1):
         for m in rebuilt.methods:
             assert rebuilt.stats(i, m) == tiny_table.stats(i, m)
+
+
+def test_rebuilt_table_has_no_grid_and_the_same_summary_bytes(tiny_table):
+    rebuilt = table_from_records(tiny_table.records)
+    assert rebuilt.grid is None
+    assert rebuilt.bin_labels == tiny_table.bin_labels == ("W1", "W2")
+    assert rebuilt.bin_stats == tiny_table.bin_stats
+    assert rebuilt.format_summary() == tiny_table.format_summary()
+    original, again = io.StringIO(), io.StringIO()
+    tiny_table.write_summary_csv(original)
+    rebuilt.write_summary_csv(again)
+    assert again.getvalue() == original.getvalue()
+
+
+def test_rebuilt_table_shows_a_skipped_bin_empty(tiny_table):
+    # the records of W1 moved to W3: W1 holds none and still shows, empty
+    moved = [r if r.primary_index else dataclasses.replace(r, primary_index=2, cell="W3Z1")
+             for r in tiny_table.records]
+    rebuilt = table_from_records(moved)
+    assert rebuilt.bin_labels == ("W1", "W2", "W3")
+    for method in rebuilt.methods:
+        got = rebuilt.bin_stats[method]
+        assert got["W3"] == tiny_table.stats(0, method)
+        assert got["W2"] == tiny_table.stats(1, method)
+        assert (got["W1"]["instances"], got["W1"]["unsolved"], got["W1"]["std"]) == (0, 0, 0.0)
+        assert math.isnan(got["W1"]["median"]) and math.isnan(got["W1"]["mean"])
+    header, instances, median = rebuilt.format_summary().splitlines()[:3]
+    assert header.split() == ["method", "statistic", "W1", "W2", "W3"]
+    assert instances.split() == ["instances", "0", "8", "8"]
+    assert median.split()[:3] == ["BT", "median", "nan"]
 
 
 def test_profile_csvs(tmp_path, tiny_table):

@@ -161,6 +161,21 @@ def test_angles_json_round_trips(files, capsys):
     assert math.isclose(geom.theta_F, 0.7, abs_tol=1e-12)
 
 
+def test_angles_json_keeps_its_zero_tol(tmp_path, capsys):
+    u, v = canonical_pair(9, [0.0, 0.4, 1.1], q=5, seed=4)
+    u_file, v_file = tmp_path / "u.mat", tmp_path / "v.mat"
+    write_matrix(u_file, u.basis)
+    write_matrix(v_file, v.basis)
+    geom = pair_geometry(subspace_from_spanning(read_matrix(u_file)),
+                         subspace_from_spanning(read_matrix(v_file)))
+    assert main(["angles", str(u_file), str(v_file), "--json", "--zero-tol", "0.7"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["zero_tol"], d["s"]) == (0.7, 2)
+    back = geometry_from_dict(d)
+    assert (back.s, back.zero_tol, back.theta_F) == (2, 0.7, d["angles"][2])
+    np.testing.assert_array_equal(back.angles, geom.angles)
+
+
 @pytest.mark.parametrize("n, angles, q", [
     (2, [0.7], 1),  # p = 1: every row of U holds one entry
     (9, [0.0, 0.4, 1.1], 5),  # an intersection and V wider than U
@@ -568,6 +583,22 @@ def test_bench_protocols_write_every_profile(tmp_path, monkeypatch, capsys, full
         rows = list(csv.DictReader(fh))
     assert [row["method"] for row in rows[:len(methods)]] == list(methods)
     assert len(rows) == 2 * 2 * len(methods)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "desk"])
+def test_report_json_equals_bench_json_stats(tmp_path, monkeypatch, capsys, full):
+    # both protocols on 2 x 2 cells at n = 10, as in test_bench_protocols_write_every_profile
+    tiny = CategoryGrid(primary_bins=((0.1, 0.5), (0.5, 1.0)), secondary_bins=2, ambient_dim=10,
+                        pairs_per_cell=1, starts_per_pair=2, max_iter=5000)
+    monkeypatch.setattr(projrates.cli, "FULL_GRID", tiny)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny.to_dict()))
+    out = tmp_path / "out"
+    assert main(["bench", *(["--full"] if full else ["--config", str(cfg)]), "--out", str(out), "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert len(stats) == (8 if full else 5)
+    assert main(["report", str(out / "records.csv"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"] == stats
 
 
 @pytest.mark.parametrize("flag", ["--methods", "--config"])

@@ -323,7 +323,7 @@ def test_iterate_rejects_bad_stopping_rule(geom_937, kwargs, name):
 
 
 @pytest.mark.parametrize("label", ["MAP", "BT"])
-@pytest.mark.parametrize("max_iter", [10.5, 1e3, True, False, "10", None])
+@pytest.mark.parametrize("max_iter", [10.5, 1e3, True, False, "10", None, np.float64(10.0), np.True_])
 def test_iterate_rejects_a_max_iter_that_is_not_an_integer(geom_937, label, max_iter):
     with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer, got {max_iter!r}")):
         iterate(parse_method(label), geom_937, np.ones(9), max_iter=max_iter)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,8 +353,8 @@ def test_geometry_from_dict_rejects_bad_bases():
     (dict(angles=[0.6, 0.0]), "need 2 ascending angles"),
     (dict(angles=[0.0, 1.6]), "need 2 ascending angles"),
     (dict(angles=[-0.1, 0.6]), "need 2 ascending angles"),
-    (dict(s=3), "need 0 <= s <= p = 2"),
-    (dict(s=-1), "need 0 <= s <= p = 2"),
+    (dict(s=3), "s=3 disagrees with the angles: 1 of them"),
+    (dict(s=-1), "s=-1 disagrees with the angles: 1 of them"),
     (dict(U=[[math.nan, 0.0]] + [[0.0, 0.0]] * 6), "not orthonormal"),
 ], ids=["one-angle", "three-angles", "nan-angle", "descending", "past-right-angle",
         "negative-angle", "s-above-p", "negative-s", "nan-basis"])
@@ -375,8 +376,30 @@ def test_geometry_from_dict_reads_thetas_off_the_angles():
     back = geometry_from_dict(d)
     assert back.theta_F == geom.theta_F == geom.angles[1]
     assert back.theta_p == geom.theta_p == geom.angles[1]
-    nested = geometry_from_dict({**d, "s": 2})
+    nested = geometry_from_dict({**d, "s": 2, "zero_tol": 0.7})
     assert nested.theta_F is None
+
+
+@pytest.mark.parametrize("s", [2, 0])
+def test_geometry_from_dict_rejects_an_s_the_angles_deny(s):
+    # s = 2 would count the 0.6 plane as intersection (MAP and BT "solved" in
+    # one step at distance 0.0), s = 0 the zero angle as not
+    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
+    assert d["zero_tol"] == 1e-8
+    message = f"s={s} disagrees with the angles: 1 of them are at most zero_tol=1e-08"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        geometry_from_dict({**d, "s": s})
+    without = {key: value for key, value in d.items() if key != "zero_tol"}
+    assert geometry_from_dict(without).s == 1  # pair_geometry's default tolerance
+    with pytest.raises(ValueError, match=re.escape(message)):
+        geometry_from_dict({**without, "s": s})
+
+
+@pytest.mark.parametrize("zero_tol", [-1.0, 2.0, math.nan])
+def test_geometry_from_dict_rejects_a_bad_zero_tol(zero_tol):
+    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
+    with pytest.raises(ValueError, match="zero_tol must be >= 0 and below pi/2"):
+        geometry_from_dict({**d, "zero_tol": zero_tol})
 
 
 def test_nan_basis_and_nan_angle_rejected():
