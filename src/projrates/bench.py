@@ -220,6 +220,8 @@ class InstanceRecord:
 #: which the cell name carries
 RECORD_COLUMNS = ("cell", "pair_index", "start_index", "pair_seed", "start_seed",
                   "theta_F", "theta_p", "method", "iterations", "solved")
+#: the integer columns of records.csv, none of which may be negative
+_COUNT_COLUMNS = ("pair_index", "start_index", "pair_seed", "start_seed", "iterations")
 
 
 @dataclass(frozen=True)
@@ -413,7 +415,9 @@ def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
 
 def read_records_csv(fh) -> list:
     """Parse a records.csv back into InstanceRecord rows.  Raises ValueError
-    naming the missing columns, or the line of a row that does not parse."""
+    naming the missing columns, or the line of a row that does not parse or
+    holds an impossible value: a negative count, index or seed, a theta that
+    is not in [0, pi/2], or theta_F above theta_p."""
     reader = csv.DictReader(fh)
     missing = [c for c in RECORD_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
@@ -429,21 +433,19 @@ def read_records_csv(fh) -> list:
                 raise ValueError(f"cell must be W<i>Z<j> with i, j >= 1, got {cell!r}")
             if row["solved"] not in ("true", "false"):
                 raise ValueError(f"solved must be true or false, got {row['solved']!r}")
-            records.append(
-                InstanceRecord(
-                    cell=cell,
-                    primary_index=int(label[1]) - 1,
-                    pair_index=int(row["pair_index"]),
-                    start_index=int(row["start_index"]),
-                    pair_seed=int(row["pair_seed"]),
-                    start_seed=int(row["start_seed"]),
-                    theta_F=float(row["theta_F"]),
-                    theta_p=float(row["theta_p"]),
-                    method=row["method"],
-                    iterations=int(row["iterations"]),
-                    solved=row["solved"] == "true",
-                )
-            )
+            counts = {name: int(row[name]) for name in _COUNT_COLUMNS}
+            for name, value in counts.items():
+                if value < 0:
+                    raise ValueError(f"{name} must be >= 0, got {value}")
+            thetas = {name: float(row[name]) for name in ("theta_F", "theta_p")}
+            for name, value in thetas.items():
+                if not 0.0 <= value <= math.pi / 2:
+                    raise ValueError(f"{name} must lie in [0, pi/2], got {row[name]!r}")
+            if thetas["theta_F"] > thetas["theta_p"]:
+                raise ValueError(f"theta_F={row['theta_F']} exceeds theta_p={row['theta_p']}")
+            records.append(InstanceRecord(
+                cell=cell, primary_index=int(label[1]) - 1, **counts, **thetas,
+                method=row["method"], solved=row["solved"] == "true"))
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records

@@ -15,6 +15,7 @@ Exit codes: 0 success (and "convergent"/"solved" where applicable);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -219,7 +220,11 @@ def cmd_bench(args) -> int:
     grid, methods = (FULL_GRID, FULL_METHODS) if args.full else (CategoryGrid(), DESK_METHODS)
     if args.config:
         with open(args.config) as fh:
-            grid = CategoryGrid.from_dict(json.load(fh))
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        grid = CategoryGrid.from_dict(config)
     if args.methods is not None:
         methods = [m for m in args.methods.split(",") if m.strip()]
     rules = method_rules(methods)
@@ -256,7 +261,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  ``main`` reuses
+    it for every call, so callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="projrates",
         description=(
@@ -322,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # MatrixFormatError is a ValueError

@@ -509,6 +509,17 @@ def test_bench_mistyped_config_names_field(tmp_path, capsys):
     assert "pairs_per_cell" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [b"", b"{pairs_per_cell: 3}", b'{"eps": 0.01,}', b"\xff"])
+def test_bench_config_that_is_not_json_names_its_file(tmp_path, capsys, data):
+    cfg = tmp_path / "broken.json"
+    cfg.write_bytes(data)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not valid JSON: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("field", ["eps", "start_norm"])
 def test_bench_non_finite_config_names_field_before_out(tmp_path, capsys, field):
     cfg = tmp_path / "inf.json"
@@ -663,6 +674,16 @@ def test_report_header_only_exits_1(tmp_path, capsys):
     "W1Z1,0,0,1,2,0.3,0.4,MAP,many,true",  # a field that does not parse
     "W1Z1,0,0,1",  # a short row
     "W1Z1,0,0,1,2,0.3,0.4,MAP,12,yes",  # solved neither true nor false
+    "W1Z1,0,0,1,2,nan,0.4,MAP,12,true",  # a theta that is not finite
+    "W1Z1,0,0,1,2,0.3,inf,MAP,12,true",
+    "W1Z1,0,0,1,2,-0.1,0.4,MAP,12,true",  # a theta outside [0, pi/2]
+    "W1Z1,0,0,1,2,0.3,1.6,MAP,12,true",
+    "W1Z1,0,0,1,2,0.5,0.4,MAP,12,true",  # theta_F above theta_p
+    "W1Z1,0,0,1,2,0.3,0.4,MAP,-5,true",  # a negative count, index or seed
+    "W1Z1,-1,0,1,2,0.3,0.4,MAP,12,true",
+    "W1Z1,0,-1,1,2,0.3,0.4,MAP,12,true",
+    "W1Z1,0,0,-1,2,0.3,0.4,MAP,12,true",
+    "W1Z1,0,0,1,-2,0.3,0.4,MAP,12,true",
 ])
 def test_report_bad_row_names_its_line(tmp_path, capsys, row):
     records = tmp_path / "records.csv"
@@ -727,3 +748,39 @@ def test_version(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "projrates" in capsys.readouterr().out
+
+
+def test_one_parser_per_process():
+    assert projrates.cli.build_parser() is projrates.cli.build_parser()
+
+
+def test_a_usage_error_leaves_the_parser_as_fresh(files, capsys):
+    _, conv, *_ = files
+    fresh = _json_dumps(report_to_dict(classify_convergence(read_matrix(conv)))) + "\n"
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--bogus"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert main(["analyze", str(conv), "--json"]) == 0
+    assert capsys.readouterr().out == fresh
+
+
+def test_no_default_leaks_between_calls(files, capsys):
+    _, _, _, u_file, v_file = files
+    solve = ["solve", str(u_file), str(v_file), "--method", "MAP", "--json"]
+    outs = []
+    for extra in (["--seed", "3"], [], ["--seed", "0"]):
+        assert main(solve + extra) == 0
+        outs.append(capsys.readouterr().out)
+    seeded, omitted, default = outs
+    assert omitted == default != seeded
+
+
+def test_version_after_a_subcommand(files, capsys):
+    _, conv, *_ = files
+    assert main(["analyze", str(conv)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("projrates ")
