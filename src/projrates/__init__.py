@@ -53,23 +53,17 @@ from .spectral import (
     EigenStructure,
     classify_convergence,
     eigen_structure,
-    empirical_rate,
-    power_limit,
     report_from_dict,
     report_to_dict,
     spectral_projectors,
-    subdominant_modulus,
 )
 from .subspaces import (
     PairGeometry,
     Subspace,
     canonical_pair,
-    complement,
-    friedrichs,
     geometry_from_dict,
     geometry_to_dict,
     haar_orthogonal,
-    intersection,
     pair_geometry,
     principal_angles,
     projector,
@@ -96,23 +90,18 @@ __all__ = [
     "build_operator",
     "canonical_pair",
     "classify_convergence",
-    "complement",
     "convergence_interval",
     "eigen_structure",
-    "empirical_rate",
     "fit_rate",
     "format_matrix",
-    "friedrichs",
     "geometry_from_dict",
     "geometry_to_dict",
     "haar_orthogonal",
-    "intersection",
     "iterate",
     "limit_projector",
     "pair_geometry",
     "parse_matrix",
     "parse_method",
-    "power_limit",
     "predict_rate",
     "principal_angles",
     "projector",
@@ -126,7 +115,6 @@ __all__ = [
     "sample_pair",
     "spectral_projectors",
     "start_vector",
-    "subdominant_modulus",
     "subspace_from_spanning",
     "table_from_records",
     "verify_at_bound",

@@ -417,12 +417,13 @@ def read_records_csv(fh) -> list:
     """Parse a records.csv back into InstanceRecord rows.  Raises ValueError
     naming the missing columns, or the line of a row that does not parse or
     holds an impossible value: a negative count, index or seed, a theta that
-    is not in [0, pi/2], or theta_F above theta_p."""
+    is not in [0, pi/2], theta_F above theta_p, or a (cell, pair_index,
+    start_index, method) that an earlier line already holds."""
     reader = csv.DictReader(fh)
     missing = [c for c in RECORD_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"not a records.csv: missing column(s) {', '.join(missing)}")
-    records = []
+    records, first_line = [], {}
     for row in reader:
         try:
             if None in row.values():
@@ -443,6 +444,12 @@ def read_records_csv(fh) -> list:
                     raise ValueError(f"{name} must lie in [0, pi/2], got {row[name]!r}")
             if thetas["theta_F"] > thetas["theta_p"]:
                 raise ValueError(f"theta_F={row['theta_F']} exceeds theta_p={row['theta_p']}")
+            key = (cell, counts["pair_index"], counts["start_index"], row["method"])
+            first = first_line.setdefault(key, reader.line_num)
+            if first != reader.line_num:
+                raise ValueError(
+                    f"repeats the instance of line {first} (cell {cell}, pair_index "
+                    f"{key[1]}, start_index {key[2]}, method {key[3]})")
             records.append(InstanceRecord(
                 cell=cell, primary_index=int(label[1]) - 1, **counts, **thetas,
                 method=row["method"], solved=row["solved"] == "true"))

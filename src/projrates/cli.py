@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success (and "convergent"/"solved" where applicable);
 1 input, parse, or configuration error; 2 matrix not convergent;
-3 iteration did not reach the tolerance (max_iter or divergence).
+3 iteration did not reach the tolerance (max_iter or divergence);
+141 stdout was closed early (``| head``), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_CONVERGENT = 2
 EXIT_NOT_SOLVED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a filter that signal stopped
 
 
 def _fmt(x: float) -> str:
@@ -246,8 +249,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.records) as fh:
-        records = read_records_csv(fh)
+    with open(args.records, encoding="utf-8") as fh:
+        try:
+            records = read_records_csv(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.records}: not UTF-8 text: {exc}") from None
     if not records:
         raise ValueError(f"{args.records}: no records found")
     table = table_from_records(records)
@@ -332,7 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (``| head``): stop quietly, as a Unix
+        # filter does, and let the exit-time flush write to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (OSError, ValueError) as exc:  # MatrixFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

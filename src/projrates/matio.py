@@ -90,7 +90,11 @@ def format_matrix(a: np.ndarray) -> str:
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read(), name=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_matrix(text, name=str(path))
 
 
 def write_matrix(path, a: np.ndarray) -> None:

@@ -183,15 +183,6 @@ def convergence_interval(kind: str, geom: PairGeometry) -> tuple[float, float]:
     raise ValueError(f"unknown method kind {kind!r}")
 
 
-def perp_intersection_projector(geom: PairGeometry) -> np.ndarray:
-    """Orthogonal projector onto (U + V)-perp, i.e. U-perp ∩ V-perp: I - B B^T
-    for the orthonormal basis B = [u, w, e] of U + V in ``geom.frame``, so
-    U + V has the dimension p + q - s the frame decided."""
-    f = geom.frame
-    b = np.hstack([f.u, f.w, f.e])
-    return np.eye(geom.ambient_dim) - b @ b.T
-
-
 def build_operator(spec: MethodSpec, geom: PairGeometry) -> np.ndarray:
     """Iteration matrix of a linear scheme (BT/AT have none)."""
     if spec.kind in ("BT", "AT"):
@@ -225,7 +216,11 @@ def limit_projector(spec: MethodSpec, geom: PairGeometry) -> np.ndarray | None:
     if mu == 0.0:
         return geom.P_U.copy() if base_kind == "S" else np.eye(geom.ambient_dim)
     if spec.kind in SHADOW_KINDS:
-        return geom.P_M + perp_intersection_projector(geom)
+        # plus the projector onto (U + V)-perp: I - B B^T for the orthonormal
+        # basis B = [u, w, e] of U + V the frame decided
+        f = geom.frame
+        b = np.hstack([f.u, f.w, f.e])
+        return geom.P_M + (np.eye(geom.ambient_dim) - b @ b.T)
     return geom.P_M
 
 

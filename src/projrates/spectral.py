@@ -14,7 +14,6 @@ polynomial factor ``k^(index-1)`` in front of the geometric decay.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,6 @@ from .subspaces import EPS
 
 class SpectralError(ValueError):
     """Raised when the spectral structure cannot be resolved reliably."""
-
-
-class NotConvergentError(SpectralError):
-    """Raised when an operation requires convergent powers but A has none."""
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +298,6 @@ def _subdominant(values, cluster_tol: float) -> tuple[int | None, float, list[in
     return unit, gamma, attaining
 
 
-def subdominant_modulus(
-    a: np.ndarray,
-    cluster_tol: float | None = None,
-    rank_tol: float | None = None,
-) -> float:
-    """Largest eigenvalue modulus after removing the eigenvalue 1 (0 if none);
-    no Jordan index is resolved."""
-    spectrum = _clustered_spectrum(_check_square(a), cluster_tol, rank_tol)
-    return _subdominant(spectrum.values, spectrum.cluster_tol)[1]
-
-
 # ---------------------------------------------------------------------------
 # limits
 
@@ -441,25 +425,6 @@ def classify_convergence(
     )
 
 
-def power_limit(
-    a: np.ndarray,
-    cluster_tol: float | None = None,
-    rank_tol: float | None = None,
-    tol_circle: float = 1e-7,
-) -> np.ndarray:
-    """Limit of A^k for a convergent matrix; raises NotConvergentError otherwise.
-
-    Computed from the invariant-subspace bases of ``A - I`` (kernel and
-    range), never by powering A.
-    """
-    report = classify_convergence(a, cluster_tol, rank_tol, tol_circle)
-    if report.status != "convergent":
-        raise NotConvergentError(
-            "powers of A do not converge: " + "; ".join(report.warnings or ("spectrum outside the convergent region",))
-        )
-    return report.limit
-
-
 def spectral_projectors(
     a: np.ndarray,
     cluster_tol: float | None = None,
@@ -489,60 +454,6 @@ def spectral_projectors(
             raise SpectralError(f"{exc} (smallest cluster gap: {gap:.3e})") from None
         out.append((c, proj))
     return out
-
-
-# ---------------------------------------------------------------------------
-# empirical rate
-
-
-def empirical_rate(
-    a: np.ndarray,
-    a_inf: np.ndarray,
-    k_min: int | None = None,
-    k_max: int = 60,
-    floor: float = 1e-13,
-) -> float:
-    """Least-squares geometric rate fitted to ``||A^k - A_inf||`` over a window.
-
-    Powers are formed by repeated multiplication and residual norms below
-    ``floor`` are dropped (they sit in rounding noise and would flatten the
-    fit).  The window defaults to ``k_min = max(5, k_max // 4)``.
-    """
-    a = _check_square(a)
-    a_inf = np.asarray(a_inf, dtype=float)
-    if a_inf.shape != a.shape:
-        raise ValueError("limit shape does not match the matrix")
-    if k_min is None:
-        k_min = max(5, k_max // 4)
-    if not (1 <= k_min < k_max):
-        raise ValueError("need 1 <= k_min < k_max")
-
-    ks, residuals = [], []
-    power = np.eye(a.shape[0])
-    dropped = 0
-    for k in range(1, k_max + 1):
-        power = power @ a
-        if k < k_min:
-            continue
-        r = operator_norm(power - a_inf)
-        if r <= floor:
-            dropped += 1
-            continue
-        ks.append(k)
-        residuals.append(r)
-    if dropped:
-        warnings.warn(
-            f"empirical_rate: dropped {dropped} residuals at or below the "
-            f"floor {floor:g}",
-            stacklevel=2,
-        )
-    if len(ks) < 3:
-        raise SpectralError(
-            f"only {len(ks)} usable residuals in [{k_min}, {k_max}]; "
-            "window too short or residuals underflow"
-        )
-    slope = np.polyfit(np.asarray(ks, dtype=float), np.log(residuals), 1)[0]
-    return float(np.exp(slope))
 
 
 # ---------------------------------------------------------------------------

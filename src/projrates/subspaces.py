@@ -72,15 +72,6 @@ def projector(space: Subspace) -> np.ndarray:
     return q @ q.T
 
 
-def complement(space: Subspace) -> Subspace:
-    """Orthogonal complement."""
-    n, p = space.basis.shape
-    if p == 0:
-        return Subspace(np.eye(n))
-    u, _, _ = np.linalg.svd(space.basis, full_matrices=True)
-    return Subspace(u[:, p:])
-
-
 def _check_pair(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError(
@@ -120,24 +111,6 @@ def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
         else:
             angles[k] = np.arccos(cosines[k])
     return angles
-
-
-def friedrichs(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> tuple[int, float | None]:
-    """Intersection dimension and Friedrichs angle.
-
-    Returns ``(s, theta_F)`` where ``s`` counts angles at most ``zero_tol``
-    (radians) and ``theta_F`` is the first larger angle, or None when every
-    angle is zero (one subspace contained in the other).
-    """
-    geom = pair_geometry(u, v, zero_tol)
-    return geom.s, geom.theta_F
-
-
-def intersection(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> Subspace:
-    """The subspace U intersect V (possibly zero-dimensional): ``M`` of the
-    measured pair, the principal vectors of the smaller space whose angle to
-    the other space is at most ``zero_tol``."""
-    return pair_geometry(u, v, zero_tol).M
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,7 +43,7 @@ from projrates.spectral import (
     eigen_structure,
     operator_norm,
 )
-from projrates.subspaces import PairGeometry
+from projrates.subspaces import PairGeometry, Subspace
 
 
 def _orthonormal_columns(q: np.ndarray) -> np.ndarray:
@@ -169,6 +169,15 @@ def projector_via_normal_equations(spanning: np.ndarray) -> np.ndarray:
     """P = B (B^T B)^-1 B^T for a full-column-rank spanning matrix."""
     b = np.asarray(spanning, dtype=float)
     return b @ np.linalg.solve(b.T @ b, b.T)
+
+
+def complement(space: Subspace) -> Subspace:
+    """Orthogonal complement, from the full SVD of the basis."""
+    n, p = space.basis.shape
+    if p == 0:
+        return Subspace(np.eye(n))
+    u, _, _ = np.linalg.svd(space.basis, full_matrices=True)
+    return Subspace(u[:, p:])
 
 
 def distance_to_span(point: np.ndarray, spanning: np.ndarray) -> float:

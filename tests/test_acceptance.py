@@ -29,7 +29,7 @@ from projrates.methods import (
     verify_bt_bound,
 )
 from projrates.spectral import classify_convergence, spectral_projectors
-from projrates.subspaces import canonical_pair, complement, friedrichs, pair_geometry
+from projrates.subspaces import canonical_pair, pair_geometry
 
 
 @contextmanager
@@ -123,7 +123,7 @@ def test_criterion_03_pair_construction_round_trip():
                 abs(np.linalg.norm(pu - pu @ pv @ pu, 2) - math.sin(geom.theta_p) ** 2)
                 <= 1e-9
             )
-            _, theta_c = friedrichs(complement(u), complement(v))
+            theta_c = pair_geometry(oracles.complement(u), oracles.complement(v)).theta_F
             assert abs(geom.theta_F - theta_c) <= 1e-9
 
 

@@ -24,7 +24,7 @@ from projrates.bench import (
     table_from_records,
 )
 from projrates.methods import DivergenceError, MethodSpec, iterate
-from projrates.subspaces import intersection
+from projrates.subspaces import pair_geometry
 
 TINY = CategoryGrid(
     primary_bins=((0.1, 0.5), (0.5, 1.0)),
@@ -172,7 +172,7 @@ def test_run_grid_map_count_matches_independent_simulation(tiny_table):
     j = int(rec.cell.split("Z")[1]) - 1
     geom = sample_pair(TINY, (i, j), rec.pair_seed)
     x = start_vector(TINY.ambient_dim, rec.start_seed, norm=TINY.start_norm)
-    basis = intersection(geom.U, geom.V).basis
+    basis = pair_geometry(geom.U, geom.V).M.basis
     n = 0
     while distance_to_span(x, basis) > TINY.eps and n < TINY.max_iter:
         x = geom.P_U @ (geom.P_V @ x)

@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import projrates.cli
-import projrates.methods
 from projrates.bench import CategoryGrid
 from projrates.cli import _json_dumps, main
 from projrates.matio import read_matrix, write_matrix
@@ -19,6 +22,8 @@ from projrates.subspaces import (
     pair_geometry,
     subspace_from_spanning,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -416,11 +421,7 @@ def test_solve_builds_no_dense_matrix(tmp_path, capsys, monkeypatch):
         geoms.append(pair_geometry(*args, **kwargs))
         return geoms[-1]
 
-    def refuse(*args):
-        raise AssertionError("solve built the projector onto (U + V)-perp")
-
     monkeypatch.setattr(projrates.cli, "pair_geometry", measured)
-    monkeypatch.setattr(projrates.methods, "perp_intersection_projector", refuse)
     for method in ("MAP", "T:best", "S:best", "R:best", "DR", "BT", "AT"):
         assert main(["solve", str(u_file), str(v_file), "--method", method,
                      "--eps", "1e-8"]) == 0, method
@@ -684,6 +685,7 @@ def test_report_header_only_exits_1(tmp_path, capsys):
     "W1Z1,0,-1,1,2,0.3,0.4,MAP,12,true",
     "W1Z1,0,0,-1,2,0.3,0.4,MAP,12,true",
     "W1Z1,0,0,1,-2,0.3,0.4,MAP,12,true",
+    "W1Z1,0,0,1,2,0.3,0.4,MAP,40,true",  # the instance of line 2 again
 ])
 def test_report_bad_row_names_its_line(tmp_path, capsys, row):
     records = tmp_path / "records.csv"
@@ -695,6 +697,50 @@ def test_report_bad_row_names_its_line(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ")
     assert "Traceback" not in err
+
+
+def test_report_repeated_instance_names_both_lines(tmp_path, capsys):
+    # one measured instance, written twice and then once more with 40 steps
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "cell,pair_index,start_index,pair_seed,start_seed,theta_F,theta_p,method,iterations,solved\n"
+        + "W1Z1,0,0,1,2,0.3,0.4,MAP,12,true\n" * 2 + "W1Z1,0,0,1,2,0.3,0.4,MAP,40,true\n"
+    )
+    assert main(["report", str(records)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: line 3: repeats the instance of line 2 "
+        "(cell W1Z1, pair_index 0, start_index 0, method MAP)\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    data = tmp_path / "bin.txt"
+    data.write_bytes(b"\xff\xfe2 2\n")
+    assert main([command, str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {data}: not UTF-8 text: ")
+    assert "0xff" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["report", "bench"])
+def test_a_closed_stdout_exits_quietly(tiny_config, tmp_path, command):
+    out = tmp_path / "out"
+    main(["bench", "--config", str(tiny_config), "--out", str(out)])
+    argv = {"report": ["report", str(out / "records.csv")],
+            "bench": ["bench", "--config", str(tiny_config), "--out", str(tmp_path / "again")]}[command]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write, as after ``| head``
+    try:
+        done = subprocess.run([sys.executable, "-m", "projrates.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == projrates.cli.EXIT_BROKEN_PIPE
+    assert done.stderr == b""
 
 
 @pytest.mark.parametrize("cell", ["W0Z1", "W1", "W1Zx", "Z1"])

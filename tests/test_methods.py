@@ -17,14 +17,13 @@ from projrates.methods import (
     iterate,
     limit_projector,
     parse_method,
-    perp_intersection_projector,
     predict_rate,
     resolve_mu,
     verify_at_bound,
     verify_bt_bound,
 )
-from projrates.spectral import classify_convergence, power_limit
-from projrates.subspaces import canonical_pair, pair_geometry
+from projrates.spectral import classify_convergence
+from projrates.subspaces import canonical_pair, pair_geometry, projector, subspace_from_spanning
 
 
 def geometry(n, angles, q=None, seed=0):
@@ -190,7 +189,9 @@ def test_limit_projectors(geom_937):
     p_m = geom_937.P_M
     np.testing.assert_allclose(limit_projector(MethodSpec("MAP"), geom_937), p_m)
     np.testing.assert_allclose(limit_projector(MethodSpec("BT"), geom_937), p_m)
-    perp = perp_intersection_projector(geom_937)
+    # (U + V)-perp, from the span of both bases together
+    both = subspace_from_spanning(np.hstack([geom_937.U.basis, geom_937.V.basis]))
+    perp = np.eye(9) - projector(both)
     np.testing.assert_allclose(
         limit_projector(MethodSpec("DR"), geom_937), p_m + perp, atol=1e-12
     )

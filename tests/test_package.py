@@ -2,6 +2,7 @@ import csv
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 import tomllib
@@ -23,6 +24,19 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(projrates.__all__) == public
+
+
+@pytest.mark.parametrize("name", [
+    "friedrichs", "intersection", "complement", "power_limit", "subdominant_modulus",
+    "empirical_rate", "perp_intersection_projector", "NotConvergentError",
+])
+def test_folded_helpers_are_gone(name):
+    """Each answer has one name: these re-derived a field of ``pair_geometry``
+    or ``classify_convergence``, or had a single caller."""
+    modules = [projrates] + [importlib.import_module(f"projrates.{m.name}")
+                             for m in pkgutil.iter_modules(projrates.__path__)]
+    assert {"projrates.methods", "projrates.spectral", "projrates.subspaces"} <= {m.__name__ for m in modules}
+    assert not [m.__name__ for m in modules if hasattr(m, name)]
 
 
 def test_sources_compile_without_warnings():

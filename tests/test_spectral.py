@@ -25,18 +25,14 @@ from oracles import (
 )
 from projrates import spectral
 from projrates.matio import read_matrix
-from projrates.methods import MethodSpec, build_operator, convergence_interval
+from projrates.methods import MethodSpec, build_operator, convergence_interval, fit_rate
 from projrates.spectral import (
-    NotConvergentError,
     SpectralError,
     classify_convergence,
     eigen_structure,
-    empirical_rate,
-    power_limit,
     report_from_dict,
     report_to_dict,
     spectral_projectors,
-    subdominant_modulus,
 )
 from projrates.subspaces import canonical_pair, pair_geometry
 
@@ -406,27 +402,16 @@ def test_classify_resolves_only_the_reported_clusters(monkeypatch):
 # limits, rates, projectors
 
 
-def test_power_limit_raises_for_divergent():
-    with pytest.raises(NotConvergentError):
-        power_limit(np.diag([2.0, 0.5]))
+def test_divergent_matrix_has_no_power_limit():
+    report = classify_convergence(np.diag([2.0, 0.5]))
+    assert report.limit is None
+    assert report.status != "convergent"
 
 
 def test_subdominant_modulus_of_construction():
     rng = np.random.default_rng(9)
     a = assemble([np.diag([1.0, 1.0]), rotation_scaling_block(0.65, 0.3), np.diag([0.1])], rng)
-    assert math.isclose(subdominant_modulus(a), 0.65, rel_tol=1e-9)
-
-
-def test_subdominant_modulus_resolves_no_jordan_index(monkeypatch):
-    rng = np.random.default_rng(5)
-    a = assemble([jordan_block(1.0, 1), jordan_block(0.5, 2), rotation_scaling_block(0.3, 1.0)], rng)
-    gamma = classify_convergence(a).gamma
-
-    def refuse(*args):
-        raise AssertionError("subdominant_modulus resolved a Jordan index")
-
-    monkeypatch.setattr(spectral, "_cluster_index", refuse)
-    assert subdominant_modulus(a) == gamma
+    assert math.isclose(classify_convergence(a).gamma, 0.65, rel_tol=1e-9)
 
 
 def corpus_matrix(seed, index, tmp_path, monkeypatch):
@@ -469,12 +454,17 @@ def test_empirical_rate_matches_gamma_when_semisimple():
     rng = np.random.default_rng(13)
     q = random_orthogonal(5, rng)
     a = q @ np.diag([1.0, 0.6, 0.6, -0.2, 0.0]) @ q.T
-    limit = power_limit(a)
-    # 0.6^k underflows the residual floor before k_max: the fit must drop
-    # those terms (and say so) rather than flatten the slope
-    with pytest.warns(UserWarning, match="dropped 2 residuals"):
-        fitted = empirical_rate(a, limit, k_max=60)
-    assert math.isclose(fitted, 0.6, rel_tol=1e-6)
+    limit = classify_convergence(a).limit
+    # ||A^k - A_inf|| for k = 15..60 by powering A; 0.6^k underflows the
+    # residual floor before k = 60: the fit must drop those terms rather
+    # than flatten the slope
+    power, residuals = np.eye(5), []
+    for k in range(1, 61):
+        power = power @ a
+        if k >= 15:
+            residuals.append(np.linalg.norm(power - limit, 2))
+    assert min(residuals) <= 1e-13
+    assert math.isclose(fit_rate(np.array(residuals)), 0.6, rel_tol=1e-6)
     assert math.isclose(squaring_rate(a, limit), 0.6, rel_tol=1e-9)
 
 

@@ -7,18 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_to_span, projector_via_normal_equations, scipy_angles
+from oracles import complement, distance_to_span, projector_via_normal_equations, scipy_angles
 from projrates.methods import iterate, parse_method
 from projrates.subspaces import (
     EPS,
     Subspace,
     canonical_pair,
-    complement,
-    friedrichs,
     geometry_from_dict,
     geometry_to_dict,
     haar_orthogonal,
-    intersection,
     pair_geometry,
     principal_angles,
     projector,
@@ -143,7 +140,8 @@ def test_angles_reject_degenerate_inputs():
 
 def test_friedrichs_counts_zero_angles():
     u, v = canonical_pair(8, [0.0, 0.0, 0.4, 1.1], seed=1)
-    s, theta_f = friedrichs(u, v)
+    g = pair_geometry(u, v)
+    s, theta_f = g.s, g.theta_F
     assert s == 2
     assert math.isclose(theta_f, 0.4, abs_tol=1e-10)
 
@@ -151,7 +149,8 @@ def test_friedrichs_counts_zero_angles():
 def test_friedrichs_none_when_nested():
     v = Subspace(np.eye(5)[:, :3])
     u = Subspace(np.eye(5)[:, :2])
-    s, theta_f = friedrichs(u, v)
+    g = pair_geometry(u, v)
+    s, theta_f = g.s, g.theta_F
     assert s == 2
     assert theta_f is None
 
@@ -159,7 +158,7 @@ def test_friedrichs_none_when_nested():
 def test_intersection_basis_lies_in_both():
     rng = np.random.default_rng(5)
     u, v = canonical_pair(10, [0.0, 0.0, 0.7, 1.2], q=5, seed=6)
-    m = intersection(u, v)
+    m = pair_geometry(u, v).M
     assert m.dim == 2
     pu, pv = projector(u), projector(v)
     np.testing.assert_allclose(pu @ m.basis, m.basis, atol=1e-10)
@@ -168,7 +167,7 @@ def test_intersection_basis_lies_in_both():
 
 def test_trivial_intersection():
     u, v = canonical_pair(5, [0.5, 1.0], seed=7)
-    assert intersection(u, v).dim == 0
+    assert pair_geometry(u, v).M.dim == 0
 
 
 def test_intersection_stays_in_v_next_to_tiny_angle():
@@ -244,7 +243,7 @@ def test_pair_geometry_intersection_projector():
     u, v = canonical_pair(9, [0.0, 0.5, 1.0], q=4, seed=11)
     geom = pair_geometry(u, v)
     assert geom.s == 1
-    m = intersection(u, v)
+    m = pair_geometry(u, v).M
     np.testing.assert_allclose(geom.P_M, projector(m), atol=1e-10)
     # P_M x is the closest intersection point: check against least squares
     rng = np.random.default_rng(12)
@@ -273,7 +272,7 @@ def test_pair_geometry_three_svds_and_same_intersection_bits(monkeypatch, n, ang
     assert len(calls) == 6  # plus the principal directions, once per pair
     monkeypatch.undo()
     for p_m, (a, b) in zip(p_ms, [(u, v), (v, u)]):
-        np.testing.assert_array_equal(p_m, projector(intersection(a, b)))
+        np.testing.assert_array_equal(p_m, projector(pair_geometry(a, b).M))
 
 
 @pytest.mark.parametrize("zero_tol", [math.nan, -1.0, math.inf, math.pi / 2, 2.0])
@@ -281,14 +280,6 @@ def test_pair_geometry_rejects_bad_zero_tol(zero_tol):
     u, v = canonical_pair(6, [0.0, 0.5], seed=19)
     with pytest.raises(ValueError, match="zero_tol"):
         pair_geometry(u, v, zero_tol=zero_tol)
-
-
-@pytest.mark.parametrize("measure", [friedrichs, intersection])
-def test_friedrichs_and_intersection_reject_bad_zero_tol(measure):
-    u, v = canonical_pair(6, [0.0, 0.5], seed=19)
-    for zero_tol in (math.nan, -1.0, math.inf, 2.0):
-        with pytest.raises(ValueError, match="zero_tol"):
-            measure(u, v, zero_tol=zero_tol)
 
 
 def test_norm_identities_of_measured_pair():
@@ -308,8 +299,8 @@ def test_norm_identities_of_measured_pair():
 def test_friedrichs_angle_invariant_under_complements():
     for seed, angles in [(16, [0.0, 0.4, 1.0]), (17, [0.25, 0.8])]:
         u, v = canonical_pair(10, angles, q=len(angles) + 2, seed=seed)
-        _, theta = friedrichs(u, v)
-        _, theta_c = friedrichs(complement(u), complement(v))
+        theta = pair_geometry(u, v).theta_F
+        theta_c = pair_geometry(complement(u), complement(v)).theta_F
         assert math.isclose(theta, theta_c, abs_tol=1e-10)
 
 
