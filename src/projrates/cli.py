@@ -254,6 +254,8 @@ def cmd_report(args) -> int:
             records = read_records_csv(fh)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{args.records}: not UTF-8 text: {exc}") from None
+        except ValueError as exc:  # a bad row or header, named by its line
+            raise ValueError(f"{args.records}: {exc}") from None
     if not records:
         raise ValueError(f"{args.records}: no records found")
     table = table_from_records(records)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,22 +255,29 @@ def predict_rate(spec: MethodSpec, geom: PairGeometry) -> RatePrediction:
 # iteration
 
 
-@dataclass(frozen=True)
 class IterationTrace:
     """Record of one run: monitored distances and the stopping outcome.
 
     ``distances[n]`` is the distance of the n-th monitored point to the
     intersection (n = 0 is the starting point, before any step).
     ``iterations`` is the first n meeting the tolerance, or None.
+    ``x_final``, the last point of the orbit, is given as an array or as a
+    function of no arguments that builds it the first time it is read:
+    ``iterate`` gives the join of the final principal coordinates, which
+    most callers never read.
     """
 
-    method: str
-    mu: float | None
-    distances: np.ndarray
-    mu_history: tuple
-    solved: bool
-    iterations: int | None
-    x_final: np.ndarray = field(repr=False)
+    def __init__(self, method: str, mu: float | None, distances: np.ndarray,
+                 mu_history: tuple, solved: bool, iterations: int | None, x_final):
+        self.method, self.mu, self.distances = method, mu, distances
+        self.mu_history, self.solved, self.iterations = mu_history, solved, iterations
+        self._x_final = x_final
+
+    @property
+    def x_final(self) -> np.ndarray:
+        if callable(self._x_final):
+            self._x_final = self._x_final()
+        return self._x_final
 
     def write_csv(self, fh) -> None:
         fh.write("n,distance,mu\n")
@@ -303,7 +310,9 @@ def iterate(
     V ∩ U-perp and on (U + V)-perp, and fixes U ∩ V.  A step costs O(p)
     instead of a dense O(n^2) matrix-vector product; the linear schemes
     advance whole chunks of steps at once (``_linear_orbit``), sized from
-    the closed-form rate.
+    the closed-form rate.  The methods run one after another from one
+    start split it once (``PrincipalFrame.start``), and the trace joins
+    ``x_final`` the first time it is read.
     """
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
@@ -314,8 +323,8 @@ def iterate(
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != geom.ambient_dim:
         raise ValueError(f"x0 has dimension {x.size}, expected {geom.ambient_dim}")
-    bad = np.flatnonzero(~(np.abs(x) < X0_BOUND))  # NaN too
-    if bad.size:
+    if not np.abs(x).max() < X0_BOUND:  # NaN too
+        bad = np.flatnonzero(~(np.abs(x) < X0_BOUND))
         kind = "an entry" if math.isfinite(x[bad[0]]) else "a non-finite entry"
         raise ValueError(
             f"x0 has {kind} {float(x[bad[0]])} at index {bad[0]}; "
@@ -323,14 +332,22 @@ def iterate(
         )
     mu = resolve_mu(spec, geom)
     frame = geom.frame
-    parts = frame.split(x)
+    start = frame.start(x)
     if spec.kind in ("BT", "AT"):
-        orbit, mu_history, coords = _adaptive_orbit(spec, frame, parts, eps, max_iter)
+        orbit, mu_history, final = _adaptive_orbit(spec, frame, start["parts"], eps, max_iter)
     else:
         kind = _RELAXED_OF.get(spec.kind, spec.kind)
         gamma = None if geom.theta_F is None else _subdominant_modulus(kind, mu, geom)
-        orbit, coords = _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter)
+        orbit, final = _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter)
         mu_history = ()
+
+    def x_final():
+        """The last point: the start's U ∩ V coordinates and the orbit's
+        final ones, with its V ∩ U-perp part and remainder scaled."""
+        along_u, _, in_extra, rest = start["parts"]
+        a, b, e_scale, r_scale = final
+        return frame.join(np.concatenate([along_u[: frame.s], a]), b, in_extra * e_scale, rest * r_scale)
+
     return IterationTrace(
         method=spec.label,
         mu=mu,
@@ -338,7 +355,7 @@ def iterate(
         mu_history=mu_history,
         solved=orbit.solved,
         iterations=len(orbit.distances) - 1 if orbit.solved else None,
-        x_final=frame.join(*coords),
+        x_final=x_final,
     )
 
 
@@ -406,7 +423,7 @@ def _chunk_steps(gamma, d, eps, previous, most):
     return min(2 * previous, most) if previous else _FIRST_CHUNK
 
 
-def _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter):
+def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
     """T/S/R/MAP/DR in principal coordinates.
 
     Row k < K holds the (u_k, w_k) coordinates of plane k, on which the
@@ -419,13 +436,21 @@ def _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter):
     B^h from repeated squaring, so a chunk costs O(K m) multiplications in
     log2(m) batched 2x2 products.  ``_chunk_steps`` sizes each chunk from
     the closed-form rate gamma (None on a nested pair), so that most runs
-    that stop take one or two chunks.
+    that stop take one or two chunks.  The start's rows and its distance
+    under each monitor depend on the start alone: they are kept in its memo
+    (``start``, from ``PrincipalFrame.start``) for the next method run from it.
     """
-    along_u, along_w, in_extra, rest = parts
+    along_u, along_w, in_extra, rest = start["parts"]
     s, c, sn = frame.s, frame.cos, frame.sin
-    e_norm, r_norm = math.sqrt(in_extra @ in_extra), math.sqrt(rest @ rest)
     kind = _RELAXED_OF.get(spec.kind, spec.kind)
     rows = c.size + 1
+    if "state" not in start:
+        state = np.empty((rows, 2))
+        state[:-1, 0], state[:-1, 1] = along_u[s:], along_w
+        state[-1] = math.sqrt(in_extra @ in_extra), math.sqrt(rest @ rest)
+        state.flags.writeable = False
+        start["state"] = state
+    state = start["state"]
     block = np.zeros((rows, 2, 2))
     block[:-1, 0, 0] = 1.0 - mu * sn * sn
     block[:-1, 0, 1] = mu * c * sn
@@ -436,8 +461,6 @@ def _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter):
         block[:-1, 1, 1] = block[:-1, 0, 0]
         block[-1, 0, 0], block[-1, 1, 1] = 1.0 - mu, 1.0
     powers = [block]  # B^(2^i)
-    state = np.empty((rows, 2))
-    state[:-1, 0], state[:-1, 1], state[-1] = along_u[s:], along_w, (e_norm, r_norm)
 
     if kind == "R":  # the P_V shadow: (c, s) . (u, w) in each plane, the V ∩ U-perp part
         weights = np.append(np.stack([c, sn], axis=1), [[1.0, 0.0]], axis=0)
@@ -450,7 +473,10 @@ def _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter):
         def monitored(states):
             return np.sqrt(np.einsum("rct,rct->t", states, states))
 
-    orbit = _Orbit(spec.label, float(monitored(state[:, :, None])[0]), eps, max_iter)
+    d0 = "shadow d0" if kind == "R" else "d0"
+    if d0 not in start:
+        start[d0] = float(monitored(state[:, :, None])[0])
+    orbit = _Orbit(spec.label, start[d0], eps, max_iter)
     size, most = 0, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows)
     with np.errstate(over="ignore", invalid="ignore"):
         while left := orbit.left():
@@ -467,14 +493,10 @@ def _linear_orbit(spec, mu, gamma, frame, parts, eps, max_iter):
                 h, i = h + k, i + 1
             state = states[:, :, orbit.extend(monitored(states[:, :, 1:]))]
     orbit.settle()
-
-    along_u = along_u.copy()
-    along_u[s:] = state[:-1, 0]
-    e_end, r_end = state[-1]
-    coords = (along_u, state[:-1, 1],
-              in_extra * (e_end / e_norm if e_norm else 0.0),
-              rest * (r_end / r_norm if r_norm else 0.0))
-    return orbit, coords
+    end = state.copy()  # not a view that holds the last chunk
+    (e_norm, r_norm), (e_end, r_end) = start["state"][-1], end[-1]
+    return orbit, (end[:-1, 0], end[:-1, 1],
+                   e_end / e_norm if e_norm else 0.0, r_end / r_norm if r_norm else 0.0)
 
 
 def _adaptive_orbit(spec, frame, parts, eps, max_iter):
@@ -525,9 +547,7 @@ def _adaptive_orbit(spec, frame, parts, eps, max_iter):
     if float_loop:
         a = _bt_float_loop(a, sn, c, fixed, orbit, mus)
     orbit.settle()
-    along_u = along_u.copy()
-    along_u[s:] = a
-    return orbit, tuple(mus), (along_u, b, in_extra * scale, rest * scale)
+    return orbit, tuple(mus), (a, b, scale, scale)
 
 
 #: BT's steps after the first run in the generated kernel while a pair has

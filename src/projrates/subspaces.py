@@ -13,7 +13,7 @@ exactly those angles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -134,12 +134,31 @@ class PrincipalFrame:
     e: np.ndarray  # n x (q - p): a basis of V ∩ U-perp
     cos: np.ndarray  # K cosines of the nonzero angles
     sin: np.ndarray  # K sines of the nonzero angles
+    # the bytes and the memo of the last start (``start``), replaced as one pair
+    _last: list = field(default_factory=lambda: [(None, None)], init=False, repr=False)
 
     def split(self, x: np.ndarray) -> tuple:
         """Principal coordinates of ``x``: along ``u``, ``w`` and ``e``, and
         the remainder in (U + V)-perp as a vector."""
         along_u, along_w, in_extra = self.u.T @ x, self.w.T @ x, self.e.T @ x
         return along_u, along_w, in_extra, x - self.join(along_u, along_w, in_extra, 0.0)
+
+    def start(self, x: np.ndarray) -> dict:
+        """The memo of the float64 start ``x``: ``split(x)`` under "parts",
+        each part read-only, and room for what callers derive from those
+        parts alone.  The frame keeps the memo of the last start it was
+        given, keyed by the bytes of ``x`` and not by its identity, so a
+        start changed in place is split again, and the methods run one
+        after the other from one start split it once."""
+        key = x.tobytes()
+        last, memo = self._last[0]
+        if last != key:
+            parts = self.split(x)
+            for part in parts:
+                part.flags.writeable = False
+            memo = {"parts": parts}
+            self._last[0] = key, memo
+        return memo
 
     def join(self, along_u, along_w, in_extra, rest) -> np.ndarray:
         """Inverse of ``split``."""

@@ -14,7 +14,6 @@ from oracles import (
     textbook_sample_std,
 )
 from projrates.bench import (
-    BenchmarkTable,
     CategoryGrid,
     InstanceRecord,
     read_records_csv,

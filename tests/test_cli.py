@@ -656,7 +656,7 @@ def test_report_names_missing_columns(tmp_path, capsys):
     records.write_text("a,b\n1,2\n")
     assert main(["report", str(records)]) == 1
     err = capsys.readouterr().err
-    assert "missing column(s) cell, pair_index," in err
+    assert err.startswith(f"error: {records}: not a records.csv: missing column(s) cell, pair_index,")
     assert "Traceback" not in err
 
 
@@ -695,7 +695,7 @@ def test_report_bad_row_names_its_line(tmp_path, capsys, row):
     )
     assert main(["report", str(records)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 3: ")
+    assert err.startswith(f"error: {records}: line 3: ")
     assert "Traceback" not in err
 
 
@@ -709,7 +709,7 @@ def test_report_repeated_instance_names_both_lines(tmp_path, capsys):
     assert main(["report", str(records)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: line 3: repeats the instance of line 2 "
+        f"error: {records}: line 3: repeats the instance of line 2 "
         "(cell W1Z1, pair_index 0, start_index 0, method MAP)\n"
     )
     assert captured.out == ""
@@ -752,7 +752,7 @@ def test_report_malformed_cell_names_its_line(tmp_path, capsys, cell):
     )
     assert main(["report", str(records)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2: cell must be W<i>Z<j>")
+    assert err.startswith(f"error: {records}: line 2: cell must be W<i>Z<j>")
     assert repr(cell) in err
     assert "Traceback" not in err
 

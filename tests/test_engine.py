@@ -18,12 +18,12 @@ from projrates.subspaces import EPS, canonical_pair, haar_orthogonal, pair_geome
 
 KINDS = ("T", "S", "R", "MAP", "DR", "BT", "AT")
 
-angle = st.one_of(
-    st.just(0.0),
+NONZERO_ANGLES = (
     st.just(math.pi / 2),
     st.floats(-6.0, -3.0).map(lambda e: 10.0**e),
     st.floats(0.01, 1.5),
 )
+angle = st.one_of(st.just(0.0), *NONZERO_ANGLES)
 
 
 @st.composite
@@ -504,6 +504,65 @@ def test_zero_steps_record_only_the_start(kind, eps):
     assert len(trace.distances) == 1
     assert trace.solved == (trace.distances[0] <= eps)
     assert trace.iterations == (0 if trace.solved else None)
+
+
+@st.composite
+def shared_start_runs(draw):
+    """A pair (nested, with s = 0, or with K up to 20 nonzero angles, tiny
+    ones included), a start, eps and max_iter (0 and 1 among them), and the
+    seven methods in a drawn order, T/S/R with a numeric mu."""
+    s = draw(st.integers(0, 3))
+    k = draw(st.integers(0 if s else 1, 20))
+    angles = [0.0] * s + sorted(draw(st.lists(st.one_of(*NONZERO_ANGLES), min_size=k, max_size=k)))
+    q = s + k + draw(st.integers(0, 2))
+    n = s + k + q + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    specs = [MethodSpec(kind, mu=draw(st.floats(0.0, 2.0))) if kind in ("T", "S", "R")
+             else MethodSpec(kind) for kind in draw(st.permutations(KINDS))]
+    x0 = np.random.default_rng(seed).standard_normal(n) * draw(st.floats(0.5, 10.0))
+    eps = draw(st.sampled_from([0.0, 1e-6, 1e-2, 1.0]))
+    max_iter = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 200)))
+    return (n, angles, q, seed), specs, x0, eps, max_iter
+
+
+def _run_bytes(spec, geom, x0, eps, max_iter):
+    """What a run answers, as bytes: distances, mus, count, outcome and
+    x_final, or the step at which it diverged."""
+    try:
+        trace = iterate(spec, geom, x0, eps=eps, max_iter=max_iter)
+    except DivergenceError as exc:
+        return exc.step
+    return (trace.distances.tobytes(), np.array(trace.mu_history, dtype=float).tobytes(),
+            trace.iterations, trace.solved, trace.x_final.tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_start_runs(), st.data())
+def test_a_shared_start_changes_no_byte(case, data):
+    """Every method run from a start its frame has split before (a warm
+    frame) answers byte for byte as on a fresh frame (a cold one), and so
+    does a start the caller changed in place between two runs.  The split
+    parts a frame keeps are read-only."""
+    pair, specs, x0, eps, max_iter = case
+
+    def cold(spec, x):
+        return _run_bytes(spec, pair_geometry(*canonical_pair(*pair)), x.copy(), eps, max_iter)
+
+    reference = [cold(spec, x0) for spec in specs]
+    geom = pair_geometry(*canonical_pair(*pair))
+    assert [_run_bytes(spec, geom, x0, eps, max_iter) for spec in specs] == reference
+    # traces whose x_final is first read after the frame moved on to another start
+    traces = {i: iterate(spec, geom, x0, eps=eps, max_iter=max_iter)
+              for i, spec in enumerate(specs) if not isinstance(reference[i], int)}
+    changed = x0  # the same array, changed in place: the frame's slot must miss
+    changed[data.draw(st.integers(0, x0.size - 1))] += data.draw(st.sampled_from([-1.0, 1e-12, 3.0]))
+    for spec in specs:
+        assert _run_bytes(spec, geom, changed, eps, max_iter) == cold(spec, changed)
+    assert {i: t.x_final.tobytes() for i, t in traces.items()} == {i: reference[i][-1] for i in traces}
+    memo = geom.frame.start(changed)
+    for part in (*memo["parts"], *(v for v in memo.values() if isinstance(v, np.ndarray))):
+        with pytest.raises(ValueError, match="read-only"):
+            part[...] = 0.0
 
 
 FIRST_CHUNK = projrates.methods._FIRST_CHUNK

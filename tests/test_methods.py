@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import adaptive_step, map_two_lines_count, squaring_rate, textbook_median
+from oracles import adaptive_step, map_two_lines_count, squaring_rate
 from projrates.methods import (
     DivergenceError,
     MethodSpec,

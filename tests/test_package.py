@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import importlib.util
@@ -84,3 +85,48 @@ def test_console_script_entry_point(monkeypatch, capsys):
         entry()
     assert err.value.code == 0
     assert capsys.readouterr().out == f"projrates {projrates.__version__}\n"
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each name a module imports and never reads.  A name
+    in the module's ``__all__`` counts as read; ``from __future__`` imports
+    and star imports are skipped.  ``import a.b`` binds ``a``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_finds_each_kind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "import numpy.linalg\n"
+        "from math import pi, tau as turn\n"
+        "from json import *\n"
+        "__all__ = ['pi']\n"
+        "def f():\n"
+        "    from re import compile\n"
+        "    return os.sep, numpy.linalg.norm\n"
+    )
+    assert unused_imports(source) == [(2, "system"), (4, "turn"), (8, "compile")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(path for part in ("src", "scripts", "tests") for path in (ROOT / part).rglob("*.py"))
+    assert len(paths) > 10
+    unused = {str(path.relative_to(ROOT)): found for path in paths
+              if (found := unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}
