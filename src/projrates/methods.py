@@ -156,10 +156,13 @@ def _subdominant_modulus(kind: str, mu: float, geom: PairGeometry) -> float:
     if kind == "S":
         return max(abs(1.0 - mu * t_f), abs(1.0 - mu * t_p))
     if kind == "R":
-        candidates = [
-            math.sqrt(max(mu * (2.0 - mu) * (1.0 - t) + (1.0 - mu) ** 2, 0.0))
-            for t in (t_f, t_p)
-        ]
+        try:
+            candidates = [
+                math.sqrt(max(mu * (2.0 - mu) * (1.0 - t) + (1.0 - mu) ** 2, 0.0))
+                for t in (t_f, t_p)
+            ]
+        except OverflowError:  # |1 - mu| above ~1.34e154: sqrt(1 - t + t (1 - mu)^2), the same modulus
+            candidates = [math.hypot(math.sqrt(1.0 - t), math.sqrt(t) * abs(1.0 - mu)) for t in (t_f, t_p)]
         if geom.q > geom.p:
             candidates.append(abs(1.0 - mu))
         return max(candidates)
@@ -370,8 +373,9 @@ class _Orbit:
         self.distances = array("d", [d0])
 
     def stops(self, d: float) -> bool:
-        """The stopping rule; ``extend`` spells it out inline, and BT's
-        kernel (``_BT_KERNEL``) on m0 = d^2 (``_square_bound``)."""
+        """The stopping rule: d <= eps or d past the blow-up bound, and never
+        for a NaN d.  ``extend`` applies it to an array as one mask, and
+        BT's kernel (``_BT_KERNEL``) to m0 = d^2 (``_square_bound``)."""
         return d > self.blowup or d <= self.eps
 
     def left(self) -> int:
@@ -380,10 +384,14 @@ class _Orbit:
 
     def extend(self, d: np.ndarray) -> int:
         """Record the distances of the next steps up to the first that
-        ``stops`` the run; returns how many steps were taken."""
-        hit = np.flatnonzero((d > self.blowup) | (d <= self.eps))
-        taken = int(hit[0]) + 1 if hit.size else d.size
-        self.distances.frombytes(d[:taken].tobytes())
+        ``stops`` the run; returns how many steps were taken.  The rule is
+        one mask built in place, its first hit is its ``argmax``, and the
+        distances are appended from the buffer of ``d`` (C-contiguous)."""
+        stop = d <= self.eps
+        stop |= d > self.blowup
+        first = int(stop.argmax())
+        taken = first + 1 if stop[first] else d.size
+        self.distances.frombytes(memoryview(d[:taken]).cast("B"))
         return taken
 
     def settle(self) -> None:
@@ -423,6 +431,22 @@ def _chunk_steps(gamma, d, eps, previous, most):
     return min(2 * previous, most) if previous else _FIRST_CHUNK
 
 
+def _narrows(kind, mu, block) -> bool:
+    """Whether a run's chunks after its first may carry the u_k coordinates
+    alone, as products of ``np.multiply`` by the (0, 0) entries of the powers.
+
+    S and T at mu = 1 (MAP) have the block [[r_k, mu c s], [0, 0]] and a
+    zero last row, so one step leaves every w_k and the last row at 0.0,
+    and B^h is [[r_k^h, .], [0, 0]].  A 2x2 product then adds only exact
+    zeros to fl(r_k^h u_k), and so keeps every bit of the distances, as
+    long as the (0, 1) entries of the powers stay finite: every
+    |r_k| <= 1 sees to that (past 1 they can overflow and turn the product
+    NaN).  Narrowing after step 1 instead of after the first chunk would
+    regroup the first chunk's products and move distances in their last
+    bits."""
+    return (kind == "S" or kind == "T" and mu == 1.0) and np.abs(block[:, 0, 0]).max() <= 1.0
+
+
 def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
     """T/S/R/MAP/DR in principal coordinates.
 
@@ -436,8 +460,12 @@ def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
     B^h from repeated squaring, so a chunk costs O(K m) multiplications in
     log2(m) batched 2x2 products.  ``_chunk_steps`` sizes each chunk from
     the closed-form rate gamma (None on a nested pair), so that most runs
-    that stop take one or two chunks.  The start's rows and its distance
-    under each monitor depend on the start alone: they are kept in its memo
+    that stop take one or two chunks.  Every chunk is a view of a prefix of
+    the run's one flat chunk array, filled from column 0 (the state the
+    chunk before stopped at); a new array is made only when a chunk needs
+    more room.  After the first chunk, a run that ``_narrows`` keeps one
+    coordinate per row.  The start's rows and its distance under each
+    monitor depend on the start alone: they are kept in its memo
     (``start``, from ``PrincipalFrame.start``) for the next method run from it.
     """
     along_u, along_w, in_extra, rest = start["parts"]
@@ -467,33 +495,44 @@ def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
 
         def monitored(states):
             shadow = np.einsum("rc,rct->rt", weights, states)
-            return np.sqrt(np.einsum("rt,rt->t", shadow, shadow))
+            d = np.einsum("rt,rt->t", shadow, shadow)
+            return np.sqrt(d, out=d)
     else:
 
         def monitored(states):
-            return np.sqrt(np.einsum("rct,rct->t", states, states))
+            d = np.einsum("rct,rct->t", states, states)
+            return np.sqrt(d, out=d)
 
     d0 = "shadow d0" if kind == "R" else "d0"
     if d0 not in start:
         start[d0] = float(monitored(state[:, :, None])[0])
     orbit = _Orbit(spec.label, start[d0], eps, max_iter)
     size, most = 0, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows)
+    product, chunk = np.matmul, np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
         while left := orbit.left():
+            if size and product is np.matmul and _narrows(kind, mu, block):
+                product, state, powers = np.multiply, state[:, :1], [p[:, :1, :1] for p in powers]
             size = _chunk_steps(gamma, orbit.distances[-1], eps, size, most)
             m = min(size, left)
-            states = np.empty((rows, 2, m + 1))
+            need = rows * state.shape[1] * (m + 1)
+            if chunk.size < need:
+                chunk = np.empty(need)
+            states = chunk[:need].reshape(rows, -1, m + 1)
             states[:, :, 0] = state
             h, i = 1, 0
             while h <= m:
                 if i == len(powers):
-                    powers.append(powers[-1] @ powers[-1])
+                    powers.append(product(powers[-1], powers[-1]))
                 k = min(h, m + 1 - h)
-                np.matmul(powers[i], states[:, :, :k], out=states[:, :, h : h + k])
+                product(powers[i], states[:, :, :k], out=states[:, :, h : h + k])
                 h, i = h + k, i + 1
             state = states[:, :, orbit.extend(monitored(states[:, :, 1:]))]
     orbit.settle()
-    end = state.copy()  # not a view that holds the last chunk
+    if product is np.multiply:  # the w_k and the last row are 0.0, as BLAS leaves them
+        end = np.hstack([state, np.zeros_like(state)])
+    else:
+        end = state.copy()  # not a view that holds the last chunk
     (e_norm, r_norm), (e_end, r_end) = start["state"][-1], end[-1]
     return orbit, (end[:-1, 0], end[:-1, 1],
                    e_end / e_norm if e_norm else 0.0, r_end / r_norm if r_norm else 0.0)

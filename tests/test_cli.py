@@ -343,6 +343,31 @@ def test_solve_divergent_run_text_names_the_step(files, capsys):
     assert "at iteration 69; the scheme does not converge here" in captured.err
 
 
+@pytest.mark.parametrize("mu", ["1e160", "-1e160", "1e300", "-1e300"])
+@pytest.mark.parametrize("kind", ["T", "S", "R"])
+def test_solve_at_a_huge_mu_diverges_at_step_1(files, capsys, kind, mu):
+    """|mu| past the float range of (1 - mu)^2: a finite predicted gamma,
+    strict JSON, and the run diverges at its first step (exit 3)."""
+    _, _, _, u_file, v_file = files
+    method = f"{kind}:{mu}"
+    assert main(["solve", str(u_file), str(v_file), "--method", method, "--json"]) == 3
+    data = _strict_json(capsys.readouterr().out)
+    assert data["diverged_at"] == 1 and data["solved"] is False
+    assert 1e150 < data["predicted_gamma"] < math.inf
+    assert main(["solve", str(u_file), str(v_file), "--method", method]) == 3
+    assert "diverged at iteration 1" in capsys.readouterr().out
+
+
+def test_solve_r_at_a_huge_mu_exits_3_without_a_traceback(files):
+    _, _, _, u_file, v_file = files
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "projrates.cli", "solve", str(u_file), str(v_file),
+                           "--method", "R:1e160"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert "diverged at iteration 1" in done.stdout
+
+
 def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")

@@ -249,6 +249,37 @@ def test_prediction_outside_domain_has_no_limit(geom_937):
     assert pred.gamma > 1
 
 
+@pytest.mark.parametrize("q", [3, 4])  # R's |1 - mu| candidate only where q > p
+@pytest.mark.parametrize("mu", [1e160, -1e160, 1e300, -1e300])
+@pytest.mark.parametrize("kind", ["T", "S", "R"])
+def test_prediction_at_a_huge_mu_is_finite_and_divergent(kind, mu, q):
+    """(1 - mu)^2 overflows a float above |mu| ~ 1.34e154; the modulus does
+    not: R's is sqrt(1 - t + t (1 - mu)^2) at t = sin^2 of an end angle,
+    about sin(theta_p) |mu|.  The run diverges at step 1."""
+    geom = geometry(9, [0.0, 0.5, 1.0], q=q)
+    pred = predict_rate(MethodSpec(kind, mu=mu), geom)
+    assert not pred.convergent and not pred.solves
+    assert math.isfinite(pred.gamma)
+    t_p = math.sin(1.0) ** 2
+    expected = {"T": abs(1.0 - mu), "S": abs(1.0 - mu * t_p),
+                "R": abs(1.0 - mu) if q > 3 else math.sqrt(t_p) * abs(mu)}[kind]
+    assert math.isclose(pred.gamma, expected, rel_tol=1e-9)
+    x0 = np.random.default_rng(6).standard_normal(9)
+    with pytest.raises(DivergenceError) as err:
+        iterate(MethodSpec(kind, mu=mu), geom, x0)
+    assert err.value.step == 1
+
+
+def test_r_prediction_keeps_its_bits_below_the_overflow():
+    """Where (1 - mu)^2 is finite, R's modulus is the one formula, bit for bit."""
+    geom = geometry(9, [0.0, 0.5, 1.0], q=3)
+    t_f, t_p = math.sin(geom.theta_F) ** 2, math.sin(geom.theta_p) ** 2
+    for mu in (0.7, 1.9, -3.0, 1e100, 1.3e154, -1.3e154):
+        expected = max(math.sqrt(max(mu * (2.0 - mu) * (1.0 - t) + (1.0 - mu) ** 2, 0.0))
+                       for t in (t_f, t_p))
+        assert predict_rate(MethodSpec("R", mu=mu), geom).gamma == expected
+
+
 def test_adaptive_prediction(geom_937):
     pred = predict_rate(MethodSpec("BT"), geom_937)
     _, best_rate = best_parameter("S", geom_937)
