@@ -365,7 +365,8 @@ def iterate(
 class _Orbit:
     """The monitored distances of one run and its stopping rule: stop at
     the first step within eps, raise DivergenceError past 1e12 times
-    max(1, the starting distance), give up after max_iter steps."""
+    max(1, the starting distance) or at a NaN distance, give up after
+    max_iter steps."""
 
     def __init__(self, label: str, d0: float, eps: float, max_iter: int):
         self.label, self.eps, self.max_iter = label, eps, max_iter
@@ -373,10 +374,12 @@ class _Orbit:
         self.distances = array("d", [d0])
 
     def stops(self, d: float) -> bool:
-        """The stopping rule: d <= eps or d past the blow-up bound, and never
-        for a NaN d.  ``extend`` applies it to an array as one mask, and
-        BT's kernel (``_BT_KERNEL``) to m0 = d^2 (``_square_bound``)."""
-        return d > self.blowup or d <= self.eps
+        """The stopping rule: d <= eps, or d past the blow-up bound or NaN
+        (not d <= blowup).  ``extend`` applies it to an array as one mask,
+        and BT's kernel (``_BT_KERNEL``) to m0 = d^2 (``_square_bound``),
+        a sum of squares that is never NaN: it stops at the first m0 past
+        the bound, and up to there every a_k and mu is finite."""
+        return not d <= self.blowup or d <= self.eps
 
     def left(self) -> int:
         """How many more steps the run may take."""
@@ -384,21 +387,22 @@ class _Orbit:
 
     def extend(self, d: np.ndarray) -> int:
         """Record the distances of the next steps up to the first that
-        ``stops`` the run; returns how many steps were taken.  The rule is
-        one mask built in place, its first hit is its ``argmax``, and the
-        distances are appended from the buffer of ``d`` (C-contiguous)."""
-        stop = d <= self.eps
-        stop |= d > self.blowup
-        first = int(stop.argmax())
-        taken = first + 1 if stop[first] else d.size
+        ``stops`` the run; returns how many steps were taken.  The steps
+        that go on are one mask built in place, eps < d <= blowup (false
+        for a NaN d), its first miss is its ``argmin``, and the distances
+        are appended from the buffer of ``d`` (C-contiguous)."""
+        going = d > self.eps
+        going &= d <= self.blowup
+        first = int(going.argmin())
+        taken = d.size if going[first] else first + 1
         self.distances.frombytes(memoryview(d[:taken]).cast("B"))
         return taken
 
     def settle(self) -> None:
-        """Raise DivergenceError if the last distance blew up, else record
-        whether the run ended within eps."""
+        """Raise DivergenceError if the last distance blew up or is NaN,
+        else record whether the run ended within eps."""
         steps, d = len(self.distances) - 1, self.distances[-1]
-        if d > self.blowup:
+        if not d <= self.blowup:
             raise DivergenceError(
                 f"{self.label}: distance to the intersection reached {d:.3e} "
                 f"at iteration {steps}; the scheme does not converge here",
@@ -407,8 +411,11 @@ class _Orbit:
         self.solved = d <= self.eps
 
 
-#: a chunk of linear steps holds at most this many block-step states
-_CHUNK_ELEMENTS = 1 << 16
+#: a chunk of linear steps holds at most this many block-step states (2 MB):
+#: on long runs each chunk's numpy calls cost more than its arithmetic, and
+#: of the caps 1 << 15 ... 1 << 19 this one ran the desk's long runs fastest
+#: (BENCH_linear.json, chunk_cap)
+_CHUNK_ELEMENTS = 1 << 17
 #: steps in the first chunk of a linear run without a plan, and the fewest in
 #: any chunk
 _FIRST_CHUNK = 16
@@ -431,22 +438,6 @@ def _chunk_steps(gamma, d, eps, previous, most):
     return min(2 * previous, most) if previous else _FIRST_CHUNK
 
 
-def _narrows(kind, mu, block) -> bool:
-    """Whether a run's chunks after its first may carry the u_k coordinates
-    alone, as products of ``np.multiply`` by the (0, 0) entries of the powers.
-
-    S and T at mu = 1 (MAP) have the block [[r_k, mu c s], [0, 0]] and a
-    zero last row, so one step leaves every w_k and the last row at 0.0,
-    and B^h is [[r_k^h, .], [0, 0]].  A 2x2 product then adds only exact
-    zeros to fl(r_k^h u_k), and so keeps every bit of the distances, as
-    long as the (0, 1) entries of the powers stay finite: every
-    |r_k| <= 1 sees to that (past 1 they can overflow and turn the product
-    NaN).  Narrowing after step 1 instead of after the first chunk would
-    regroup the first chunk's products and move distances in their last
-    bits."""
-    return (kind == "S" or kind == "T" and mu == 1.0) and np.abs(block[:, 0, 0]).max() <= 1.0
-
-
 def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
     """T/S/R/MAP/DR in principal coordinates.
 
@@ -463,10 +454,9 @@ def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
     that stop take one or two chunks.  Every chunk is a view of a prefix of
     the run's one flat chunk array, filled from column 0 (the state the
     chunk before stopped at); a new array is made only when a chunk needs
-    more room.  After the first chunk, a run that ``_narrows`` keeps one
-    coordinate per row.  The start's rows and its distance under each
-    monitor depend on the start alone: they are kept in its memo
-    (``start``, from ``PrincipalFrame.start``) for the next method run from it.
+    more room.  The start's rows and its distance under each monitor
+    depend on the start alone: they are kept in its memo (``start``, from
+    ``PrincipalFrame.start``) for the next method run from it.
     """
     along_u, along_w, in_extra, rest = start["parts"]
     s, c, sn = frame.s, frame.cos, frame.sin
@@ -508,31 +498,26 @@ def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
         start[d0] = float(monitored(state[:, :, None])[0])
     orbit = _Orbit(spec.label, start[d0], eps, max_iter)
     size, most = 0, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows)
-    product, chunk = np.matmul, np.empty(0)
+    chunk = np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
         while left := orbit.left():
-            if size and product is np.matmul and _narrows(kind, mu, block):
-                product, state, powers = np.multiply, state[:, :1], [p[:, :1, :1] for p in powers]
             size = _chunk_steps(gamma, orbit.distances[-1], eps, size, most)
             m = min(size, left)
-            need = rows * state.shape[1] * (m + 1)
+            need = rows * 2 * (m + 1)
             if chunk.size < need:
                 chunk = np.empty(need)
-            states = chunk[:need].reshape(rows, -1, m + 1)
+            states = chunk[:need].reshape(rows, 2, m + 1)
             states[:, :, 0] = state
             h, i = 1, 0
             while h <= m:
                 if i == len(powers):
-                    powers.append(product(powers[-1], powers[-1]))
+                    powers.append(np.matmul(powers[-1], powers[-1]))
                 k = min(h, m + 1 - h)
-                product(powers[i], states[:, :, :k], out=states[:, :, h : h + k])
+                np.matmul(powers[i], states[:, :, :k], out=states[:, :, h : h + k])
                 h, i = h + k, i + 1
             state = states[:, :, orbit.extend(monitored(states[:, :, 1:]))]
     orbit.settle()
-    if product is np.multiply:  # the w_k and the last row are 0.0, as BLAS leaves them
-        end = np.hstack([state, np.zeros_like(state)])
-    else:
-        end = state.copy()  # not a view that holds the last chunk
+    end = state.copy()  # not a view that holds the last chunk
     (e_norm, r_norm), (e_end, r_end) = start["state"][-1], end[-1]
     return orbit, (end[:-1, 0], end[:-1, 1],
                    e_end / e_norm if e_norm else 0.0, r_end / r_norm if r_norm else 0.0)

@@ -125,9 +125,10 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def _cluster_index(a: np.ndarray, value: complex, mult: int, rank_tol: float) -> int:
-    """Smallest k with rank((A - value*I)^k) = n - mult."""
+    """Smallest k with rank((A - value*I)^k) = n - mult, in real arithmetic
+    for a real value."""
     n = a.shape[0]
-    b = a.astype(complex) - value * np.eye(n)
+    b = a - value.real * np.eye(n) if value.imag == 0.0 else a.astype(complex) - value * np.eye(n)
     sv = np.linalg.svd(b, compute_uv=False)
     smax = float(np.amax(sv))  # operator_norm(b), from the call the k = 1 test reads
     if smax <= rank_tol * abs(value):

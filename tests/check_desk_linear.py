@@ -1,56 +1,73 @@
-"""Check every S:best and MAP run of the desk table that takes more than
-one chunk, narrowed and kept at width 2, byte for byte, for each master
-seed given (2025 when none is).
+"""Check the chunk boundaries of whole linear runs: every T:best, S:best,
+MAP and DR run of the desk table that spans more than one chunk at a
+chunk cap 32 times smaller than the shipped ``_CHUNK_ELEMENTS``, run at
+both caps, for each master seed given (2025 when none is).
 
-After their first chunk, S and MAP carry the u_k coordinates of each plane
-alone (``methods._narrows``).  The property test of that stops at 20000
-steps; the desk table's capped runs take 100000, with the planes of a
-fast angle underflowing to 0.0 on the way, so this script is the check on
-whole capped runs.  Run it from the repository root:
+A linear run advances in chunks of at most ``_CHUNK_ELEMENTS // rows``
+steps, so a chunk edge moves only how the steps' products are grouped.
+The property test of that stops at 20000 steps; the desk table's capped
+runs take 100000, with the planes of a fast angle underflowing to 0.0 on
+the way, so this script is the check on whole capped runs.  Run it from
+the repository root:
 
     PYTHONPATH=src python tests/check_desk_linear.py [SEED ...]
 
 It prints one line per mismatching run and, per seed, a summary: how many
-runs took more than one chunk, how many of them narrowed and how many
-were capped.  It exits 1 if any run differs from its width-2 twin in its
-distances, count, outcome, divergence step or final point.
+runs spanned more than one small chunk and how many of them were capped.
+It exits 1 if any run at the small cap differs from the shipped one in its
+count, outcome, divergence step or length, or in a distance by more than
+a relative 1e-12 (plus, for DR, 1e-12 gamma^n |x0|, as in
+``test_a_chunk_plan_never_changes_an_answer``).
 """
 
 import argparse
 import sys
 from unittest import mock
 
+import numpy as np
+
 import projrates.methods
 from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
-from projrates.methods import DivergenceError, iterate, parse_method
+from projrates.methods import SHADOW_KINDS, DivergenceError, iterate, parse_method, predict_rate
 
-LABELS = ("S:best", "MAP")
+LABELS = ("T:best", "S:best", "MAP", "DR")
+SHIPPED = projrates.methods._CHUNK_ELEMENTS
+SMALL = SHIPPED // 32
 
 
-def run_bytes(spec, geom, x0, grid):
-    """What a run answers, as bytes, or the step at which it diverged."""
-    try:
-        trace = iterate(spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter)
-    except DivergenceError as exc:
-        return exc.step
-    return trace.distances.tobytes(), trace.iterations, trace.solved, trace.x_final.tobytes()
+def run(spec, geom, x0, grid, cap):
+    """The trace of a run at chunk cap ``cap`` and how many chunks it took,
+    or the step at which it diverged."""
+    chunk_steps, chunks = projrates.methods._chunk_steps, [0]
+
+    def count_chunks(*args):
+        chunks[0] += 1
+        return chunk_steps(*args)
+
+    with mock.patch.object(projrates.methods, "_CHUNK_ELEMENTS", cap), \
+            mock.patch.object(projrates.methods, "_chunk_steps", count_chunks):
+        try:
+            return iterate(spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter), chunks[0]
+        except DivergenceError as exc:
+            return exc.step, chunks[0]
+
+
+def agree(got, ref, spec, geom, x0) -> bool:
+    """The answers of two runs that group their products differently."""
+    if isinstance(got, int) or isinstance(ref, int):
+        return got == ref
+    if (got.solved, got.iterations, len(got.distances)) != (ref.solved, ref.iterations, len(ref.distances)):
+        return False
+    tol = 1e-12 * ref.distances
+    if spec.kind in SHADOW_KINDS:
+        tol += 1e-12 * predict_rate(spec, geom).gamma ** np.arange(len(tol)) * np.linalg.norm(x0)
+    return bool(np.all(np.abs(got.distances - ref.distances) <= tol))
 
 
 def check(master_seed: int) -> int:
-    """Compare the seed's long S:best and MAP runs with their width-2
-    twins; returns the number of runs that differ."""
+    """Compare the seed's runs of more than one small chunk at both caps;
+    returns the number of runs that differ."""
     grid = CategoryGrid()
-    narrows, chunk_steps = projrates.methods._narrows, projrates.methods._chunk_steps
-    chunks, narrowed = [], []
-
-    def count_chunks(*args):
-        chunks[-1] += 1
-        return chunk_steps(*args)
-
-    def spy_narrows(*args):
-        narrowed[-1] = narrows(*args)
-        return narrowed[-1]
-
     long_runs = capped = bad = 0
     for i in range(len(grid.primary_bins)):
         for j in range(grid.secondary_bins):
@@ -61,29 +78,23 @@ def check(master_seed: int) -> int:
                                       norm=grid.start_norm)
                     for label in LABELS:
                         spec = parse_method(label)
-                        chunks.append(0)
-                        narrowed.append(False)
-                        with mock.patch.object(projrates.methods, "_chunk_steps", count_chunks), \
-                                mock.patch.object(projrates.methods, "_narrows", spy_narrows):
-                            got = run_bytes(spec, geom, x0, grid)
-                        if chunks[-1] < 2:
+                        got, chunks = run(spec, geom, x0, grid, SMALL)
+                        if chunks < 2:
                             continue
                         long_runs += 1
-                        capped += not isinstance(got, int) and got[1] is None
-                        with mock.patch.object(projrates.methods, "_narrows", lambda *args: False):
-                            ref = run_bytes(spec, geom, x0, grid)
-                        if got != ref:
+                        capped += not isinstance(got, int) and got.iterations is None
+                        if not agree(got, run(spec, geom, x0, grid, SHIPPED)[0], spec, geom, x0):
                             bad += 1
                             print(f"seed {master_seed}, {grid.cell_label(i, j)}/{k} start {m}: {label} "
-                                  f"narrowed differs from width 2")
-    print(f"seed {master_seed}: {long_runs - bad} of {long_runs} desk S:best and MAP runs of more than "
-          f"one chunk ({sum(narrowed)} narrowed, {capped} capped at {grid.max_iter} steps) equal their "
-          f"width-2 twins byte for byte")
+                                  f"differs between chunk caps {SMALL} and {SHIPPED}")
+    print(f"seed {master_seed}: {long_runs - bad} of {long_runs} desk {', '.join(LABELS)} runs of more "
+          f"than one chunk at cap {SMALL} ({capped} capped at {grid.max_iter} steps) agree with cap "
+          f"{SHIPPED}")
     return bad
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="narrowed S and MAP desk runs against width 2")
+    parser = argparse.ArgumentParser(description="desk linear runs at the shipped and a 32 times smaller chunk cap")
     parser.add_argument("seeds", nargs="*", type=int, default=[2025], help="master seeds")
     args = parser.parse_args()
     bad = sum(check(seed) for seed in args.seeds)

@@ -4,7 +4,7 @@ against.
 Everything here deliberately avoids the package's own code paths:
 spectra come from characteristic-polynomial roots or from explicit
 construction, projectors from normal equations, rates from renormalized
-matrix squaring, statistics from first-principles formulas.  Four
+matrix squaring, statistics from first-principles formulas.  Five
 exceptions keep a slow path of the package as the reference for its fast
 one: ``dense_iterate``, the projection iteration as a dense loop over the
 pair's projectors (``build_operator`` and the line-search step
@@ -14,8 +14,10 @@ arrays, which checks bit for bit the generated kernel BT runs on pairs
 with at most ``_FLOAT_LOOP_MAX_K`` (64) nonzero angles, in the tests and
 over whole benchmark runs in ``check_desk_bt.py``; ``full_classify``, the
 convergence verdict over the fully resolved ``eigen_structure``, which
-checks the Jordan indices ``classify_convergence`` resolves on demand; and
-``loop_parse_matrix``, the token-by-token matrix parser, which checks the
+checks the Jordan indices ``classify_convergence`` resolves on demand;
+``complex_cluster_index``, the rank test of a Jordan index in complex
+arithmetic, which checks the real-arithmetic test ``_cluster_index`` runs
+for a real eigenvalue; and ``loop_parse_matrix``, the token-by-token matrix parser, which checks the
 per-row fast path of ``parse_matrix``.
 """
 
@@ -553,6 +555,30 @@ def full_classify(
         limit_is_orthogonal_projector=is_orth,
         warnings=tuple(notes),
     )
+
+
+def complex_cluster_index(a: np.ndarray, value: complex, mult: int, rank_tol: float) -> int:
+    """``spectral._cluster_index`` with A - value*I always formed in complex
+    arithmetic: the smallest k with rank((A - value*I)^k) = n - mult, ranks
+    thresholded at rank_tol ||A - value*I||^k, SpectralError where the
+    ranks fall short or do not settle within mult."""
+    n = a.shape[0]
+    b = a.astype(complex) - value * np.eye(n)
+    sv = np.linalg.svd(b, compute_uv=False)
+    smax = float(np.amax(sv))
+    if smax <= rank_tol * abs(value):
+        return 1
+    bk = b
+    for k in range(1, mult + 1):
+        if k > 1:
+            bk = bk @ b
+            sv = np.linalg.svd(bk, compute_uv=False)
+        r = int(np.count_nonzero(sv > rank_tol * smax**k))
+        if r == n - mult:
+            return k
+        if r < n - mult:
+            raise SpectralError(f"rank of (A - ({value})I)^{k} fell below n - multiplicity")
+    raise SpectralError(f"rank of powers of A - ({value})I did not stabilize within {mult}")
 
 
 def loop_parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:

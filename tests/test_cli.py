@@ -343,11 +343,12 @@ def test_solve_divergent_run_text_names_the_step(files, capsys):
     assert "at iteration 69; the scheme does not converge here" in captured.err
 
 
-@pytest.mark.parametrize("mu", ["1e160", "-1e160", "1e300", "-1e300"])
+@pytest.mark.parametrize("mu", ["1e160", "-1e160", "1e300", "-1e300", "1e308", "-1e308"])
 @pytest.mark.parametrize("kind", ["T", "S", "R"])
 def test_solve_at_a_huge_mu_diverges_at_step_1(files, capsys, kind, mu):
     """|mu| past the float range of (1 - mu)^2: a finite predicted gamma,
-    strict JSON, and the run diverges at its first step (exit 3)."""
+    strict JSON, and the run diverges at its first step (exit 3), also at
+    1e308, where R's first step overflows to a NaN distance."""
     _, _, _, u_file, v_file = files
     method = f"{kind}:{mu}"
     assert main(["solve", str(u_file), str(v_file), "--method", method, "--json"]) == 3

@@ -661,21 +661,24 @@ def planned_runs(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(planned_runs())
-def test_a_chunk_plan_never_changes_an_answer(case):
+@given(planned_runs(), st.one_of(st.none(), st.integers(64, 1024)))
+def test_a_chunk_plan_never_changes_an_answer(case, cap):
     """The run with planned chunks and the run with chunks of 16 that double
     have the same outcome, count, divergence step and length, and
     distances within a relative 1e-12: the plan moves only where chunks
-    begin, and so how the steps' products are grouped.
+    begin, and so how the steps' products are grouped.  Half the runs take
+    a chunk cap (``_CHUNK_ELEMENTS``) of 64-1024 block-steps, so that long
+    runs cross many capped chunks.
 
     R and DR monitor a shadow, which can cancel to far below the norm of
     the state it is read from.  Their blocks are scaled rotations, so that
     norm is at most gamma^n |x0| at step n; on a pair with a nonzero angle
     their distances may also differ by 1e-12 of that."""
     spec, geom, x0, eps, max_iter = case
-    got = _outcome(iterate, spec, geom, x0, eps, max_iter)
-    with mock.patch.object(projrates.methods, "_chunk_steps", _sixteen_then_double):
-        ref = _outcome(iterate, spec, geom, x0, eps, max_iter)
+    with mock.patch.object(projrates.methods, "_CHUNK_ELEMENTS", cap or CHUNK_ELEMENTS):
+        got = _outcome(iterate, spec, geom, x0, eps, max_iter)
+        with mock.patch.object(projrates.methods, "_chunk_steps", _sixteen_then_double):
+            ref = _outcome(iterate, spec, geom, x0, eps, max_iter)
     if isinstance(ref, int):
         assert got == ref
         return
@@ -690,75 +693,32 @@ def test_a_chunk_plan_never_changes_an_answer(case):
     assert np.all(np.abs(got.distances - ref.distances) <= tol)
 
 
-@st.composite
-def narrowing_runs(draw):
-    """A run of S or T that may narrow after its first chunk: S at its best
-    mu, inside the interval, at its edge, beyond it or at mu = 0; MAP; T at
-    exactly mu = 1, and at other mu, where it must not narrow.  Pairs are
-    nested, have s = 0 or up to 20 nonzero angles; some starts leave planes
-    out; eps may be 0; max_iter is 0, 1, 2, a few chunks' worth or 20000."""
-    s = draw(st.integers(0, 2))
-    k = draw(st.integers(0 if s else 1, 20))
-    angles = [0.0] * s + sorted(draw(st.lists(st.one_of(*NONZERO_ANGLES), min_size=k, max_size=k)))
-    q = s + k + draw(st.integers(0, 2))
-    n = s + k + q + draw(st.integers(0, 2))
-    geom = pair_geometry(*canonical_pair(n, angles, q, seed=draw(st.integers(0, 2**32 - 1))))
-    nested = geom.theta_F is None
-    kind = draw(st.sampled_from(("S", "S", "MAP", "T", "T")))
-    if kind == "S":
-        best = () if nested else ("best", "best")
-        where = draw(st.sampled_from(best + ("inside", "edge", "beyond", "zero")))
-        edge = 2.0 if nested else 2.0 / math.sin(geom.theta_p) ** 2
-        factor = {"best": None, "zero": 0.0, "edge": 1.0,
-                  "inside": draw(st.floats(0.05, 0.99)), "beyond": draw(st.floats(1.01, 1.5))}[where]
-        spec = MethodSpec("S", best=True) if factor is None else MethodSpec("S", mu=edge * factor)
-    elif kind == "T":
-        spec = MethodSpec("T", mu=draw(st.sampled_from((1.0, draw(st.floats(0.05, 1.95))))))
-    else:
-        spec = MethodSpec("MAP")
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x0 = rng.standard_normal(n) * draw(st.floats(0.5, 10.0))
-    if draw(st.booleans()):  # planes the start leaves out
-        along_u, along_w, in_extra, rest = (np.array(part) for part in geom.frame.split(x0))
-        gone = rng.random(along_w.size) < 0.5
-        along_u[geom.frame.s:][gone] = along_w[gone] = 0.0
-        x0 = geom.frame.join(along_u, along_w, in_extra, rest)
-    eps = draw(st.sampled_from((0.0, 0.0, 1e-12, 1e-6, 1e-2)))
-    max_iter = draw(st.one_of(st.sampled_from((0, 1, 2)), st.integers(3, 400), st.just(20000)))
-    return spec, geom, x0, eps, max_iter
+@pytest.mark.parametrize("mu", [1e308, -1e308])
+def test_r_at_the_float_limit_diverges_at_step_1(mu):
+    """R's block entries at |mu| = 1e308 are finite, but their products with
+    the start overflow and cancel to NaN at step 1: a NaN distance is a
+    divergence, not a run to max_iter."""
+    geom = pair_geometry(*canonical_pair(8, [0.0, 0.3, 0.9], q=4, seed=1))
+    with pytest.raises(DivergenceError) as err:
+        iterate(MethodSpec("R", mu=mu), geom, start_vector(8, 0))
+    assert err.value.step == 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(narrowing_runs())
-def test_narrowing_changes_no_byte(case):
-    """S and MAP carry the u_k coordinates alone after their first chunk
-    (``methods._narrows``); the same run kept at width 2 answers byte for
-    byte alike: distances, count, outcome, divergence step and x_final."""
-    spec, geom, x0, eps, max_iter = case
-    got = _run_bytes(spec, geom, x0, eps, max_iter)
-    with mock.patch.object(projrates.methods, "_narrows", lambda kind, mu, block: False):
-        assert _run_bytes(spec, geom, x0, eps, max_iter) == got
-
-
-def test_s_beyond_its_edge_keeps_width_2_where_its_powers_overflow(monkeypatch):
-    """S beyond its interval, from a start with no part in the plane of
-    theta_p, where r = 1 - mu sin^2(theta_p) is -4: r^h overflows within
-    20000 steps.  At width 2 the (0, 1) entry of B^h, r^(h-1) mu c s with
-    mu c s = 8.9, overflows a squaring before r^h does, and inf * 0.0 turns
-    the plane NaN at step 1008; narrowed, it would stay 0.0 until step 2032.
-    So ``_narrows`` refuses any |r_k| > 1."""
+def test_a_plane_turned_nan_by_an_overflowing_power_diverges():
+    """S beyond its interval, from a start with exact zeros in the plane of
+    theta_p, where r = 1 - mu sin^2(theta_p) is -4.  The (0, 1) entry of
+    B^h, r^(h-1) mu c s with mu c s = 8.9, overflows a squaring before r^h
+    does, and inf * 0.0 turns the plane NaN at step 1008 while the other
+    planes are still far below the blow-up bound.  The run diverges there.
+    ``frame.join`` leaves ~1e-17 in that plane, so the start is given to
+    ``_linear_orbit`` in principal coordinates."""
     geom = pair_geometry(*canonical_pair(8, [1e-3, 0.01, 0.512], q=3, seed=96))
     along_u, along_w, in_extra, rest = (
         np.array(part) for part in geom.frame.split(np.random.default_rng(96).standard_normal(8)))
     along_u[-1] = along_w[-1] = 0.0
     spec = MethodSpec("S", mu=20.814643367591604)
-
-    def run():
-        start = {"parts": (along_u, along_w, in_extra, rest)}
-        orbit, _ = projrates.methods._linear_orbit(
+    start = {"parts": (along_u, along_w, in_extra, rest)}
+    with pytest.raises(DivergenceError) as err:
+        projrates.methods._linear_orbit(
             spec, spec.mu, predict_rate(spec, geom).gamma, geom.frame, start, 0.0, 20000)
-        return orbit.distances.tobytes(), orbit.solved
-
-    got = run()
-    monkeypatch.setattr(projrates.methods, "_narrows", lambda kind, mu, block: False)
-    assert run() == got
+    assert err.value.step == 1008

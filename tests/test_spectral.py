@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     assemble,
+    complex_cluster_index,
     full_classify,
     jordan_block,
     loop_min_gap,
@@ -367,6 +368,31 @@ def test_classify_matches_fully_resolved_oracle(family, seed):
     assert json.dumps(report_to_dict(report)) == json.dumps(report_to_dict(expected))
     if expected.limit is not None:
         assert report.limit.tobytes() == expected.limit.tobytes()
+
+
+def _index_or_error(rank_test, a, value, mult, rank_tol):
+    try:
+        return rank_test(a, value, mult, rank_tol)
+    except SpectralError:
+        return "SpectralError"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(MATRIX_FAMILIES)), st.integers(0, 2 ** 32 - 1))
+def test_real_rank_test_gives_the_complex_index(family, seed):
+    """The Jordan index of every real cluster, from the rank test of
+    A - value*I in real arithmetic, is the one the same test gives in
+    complex arithmetic (``complex_cluster_index``), or both raise."""
+    a = MATRIX_FAMILIES[family](np.random.default_rng(seed))
+    try:
+        spectrum = spectral._clustered_spectrum(a, None, None)
+    except SpectralError:
+        return
+    real = [(v, m) for v, m in zip(spectrum.values, spectrum.mults) if v.imag == 0.0]
+    event(f"{len(real)} real clusters")
+    for value, mult in real:
+        got = _index_or_error(spectral._cluster_index, a, value, mult, spectrum.rank_tol)
+        assert got == _index_or_error(complex_cluster_index, a, value, mult, spectrum.rank_tol)
 
 
 def test_defective_complex_pair_shares_its_index():
