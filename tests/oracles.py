@@ -17,8 +17,8 @@ convergence verdict over the fully resolved ``eigen_structure``, which
 checks the Jordan indices ``classify_convergence`` resolves on demand;
 ``complex_cluster_index``, the rank test of a Jordan index in complex
 arithmetic, which checks the real-arithmetic test ``_cluster_index`` runs
-for a real eigenvalue; and ``loop_parse_matrix``, the token-by-token matrix parser, which checks the
-per-row fast path of ``parse_matrix``.
+for a real eigenvalue; and ``loop_parse_matrix``, the token-by-token
+matrix parser, which checks the per-row fast path of ``parse_matrix``.
 """
 
 import dataclasses
