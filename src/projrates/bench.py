@@ -17,6 +17,7 @@ byte.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 import pathlib
@@ -310,14 +311,16 @@ class BenchmarkTable:
 
     def export(self, out_dir) -> None:
         """Write summary.csv, records.csv and the per-method profiles into
-        ``out_dir``, creating it if needed."""
+        ``out_dir``, creating it if needed, and remove the profiles there
+        of methods this table does not hold (an earlier run's)."""
         out_dir = pathlib.Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "summary.csv", "w") as fh:
             self.write_summary_csv(fh)
         with open(out_dir / "records.csv", "w") as fh:
             self.write_records_csv(fh)
-        self.write_profile_csvs(out_dir)
+        for stale in set(out_dir.glob("profile_*.csv")) - set(self.write_profile_csvs(out_dir)):
+            stale.unlink()
 
     def write_summary_csv(self, fh) -> None:
         """``summary_rows`` as CSV, values written with ``repr``."""
@@ -373,6 +376,21 @@ def method_rules(methods) -> list:
     return rules
 
 
+def table_pairs(grid: CategoryGrid, master_seed: int):
+    """Yield each seeded pair of a table, cell by cell, as ``((i, j), k,
+    pair_seed, geom, starts)``: its cell, its index in the cell, its seed,
+    the measured pair (``sample_pair``) and its starts as ``(m, start_seed,
+    x0)``.  ``run_grid`` and ``tests/check_tables.py`` walk a table through
+    this one order and these seeds."""
+    for i, j, k in itertools.product(
+            range(len(grid.primary_bins)), range(grid.secondary_bins), range(grid.pairs_per_cell)):
+        pair_seed = _derive_seed(master_seed, i, j, k)
+        geom = sample_pair(grid, (i, j), pair_seed)  # before the starts: it fails first on a huge grid
+        seeds = [_derive_seed(master_seed, i, j, k, 1000 + m) for m in range(grid.starts_per_pair)]
+        yield (i, j), k, pair_seed, geom, [
+            (m, seed, start_vector(grid.ambient_dim, seed, norm=grid.start_norm)) for m, seed in enumerate(seeds)]
+
+
 def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
     """Run every method on every seeded (cell, pair, start) instance.
 
@@ -384,27 +402,20 @@ def run_grid(grid: CategoryGrid, methods, master_seed: int) -> BenchmarkTable:
     """
     rules = method_rules(methods)
     records = []
-    n = grid.ambient_dim
-    for i in range(len(grid.primary_bins)):
-        for j in range(grid.secondary_bins):
-            for k in range(grid.pairs_per_cell):
-                pair_seed = _derive_seed(master_seed, i, j, k)
-                geom = sample_pair(grid, (i, j), pair_seed)
-                specs = [(label, rule(geom)) for label, rule in rules]
-                for m in range(grid.starts_per_pair):
-                    start_seed = _derive_seed(master_seed, i, j, k, 1000 + m)
-                    x0 = start_vector(n, start_seed, norm=grid.start_norm)
-                    for label, spec in specs:
-                        try:
-                            trace = iterate(spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter)
-                        except DivergenceError:
-                            trace = None
-                        solved = trace is not None and trace.solved
-                        records.append(InstanceRecord(
-                            cell=grid.cell_label(i, j), primary_index=i, pair_index=k, start_index=m,
-                            pair_seed=pair_seed, start_seed=start_seed, theta_F=geom.theta_F,
-                            theta_p=geom.theta_p, method=label,
-                            iterations=trace.iterations if solved else grid.max_iter, solved=solved))
+    for (i, j), k, pair_seed, geom, starts in table_pairs(grid, master_seed):
+        specs = [(label, rule(geom)) for label, rule in rules]
+        for m, start_seed, x0 in starts:
+            for label, spec in specs:
+                try:
+                    trace = iterate(spec, geom, x0, eps=grid.eps, max_iter=grid.max_iter)
+                except DivergenceError:
+                    trace = None
+                solved = trace is not None and trace.solved
+                records.append(InstanceRecord(
+                    cell=grid.cell_label(i, j), primary_index=i, pair_index=k, start_index=m,
+                    pair_seed=pair_seed, start_seed=start_seed, theta_F=geom.theta_F,
+                    theta_p=geom.theta_p, method=label,
+                    iterations=trace.iterations if solved else grid.max_iter, solved=solved))
     return BenchmarkTable(grid=grid, methods=tuple(label for label, _ in rules),
                           master_seed=int(master_seed), records=tuple(records))
 

@@ -238,6 +238,9 @@ def cmd_bench(args) -> int:
     except RuntimeError as exc:  # sample_pair: a re-measured pair left its cell
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:  # numpy's message is a traceback away from the grid value behind it
+        print(f"error: the grid does not fit in memory at ambient_dim={grid.ambient_dim}", file=sys.stderr)
+        return EXIT_INPUT
     table.export(out_dir)
 
     if args.json:

@@ -9,10 +9,11 @@ exceptions keep a slow path of the package as the reference for its fast
 one: ``dense_iterate``, the projection iteration as a dense loop over the
 pair's projectors (``build_operator`` and the line-search step
 ``adaptive_step``), which checks the principal-coordinate engine behind
-``iterate``; ``bt_moment_loop``, BT in principal coordinates on numpy
-arrays, which checks bit for bit the generated kernel BT runs on pairs
-with at most ``_FLOAT_LOOP_MAX_K`` (64) nonzero angles, in the tests and
-over whole benchmark runs in ``check_desk_bt.py``; ``full_classify``, the
+``iterate``, in the tests and over every linear run of the desk tables in
+``check_tables.py``; ``bt_moment_loop``, BT in principal coordinates on
+numpy arrays, which checks bit for bit the generated kernel BT runs on
+pairs with at most ``_FLOAT_LOOP_MAX_K`` (64) nonzero angles, in the tests
+and over whole benchmark runs in ``check_tables.py``; ``full_classify``, the
 convergence verdict over the fully resolved ``eigen_structure``, which
 checks the Jordan indices ``classify_convergence`` resolves on demand;
 ``complex_cluster_index``, the rank test of a Jordan index in complex
@@ -313,8 +314,8 @@ def dense_iterate(
 
     R and DR monitor the P_V shadow of the orbit; all other schemes monitor
     the orbit itself.  The starting point counts as iteration 0.  Raises
-    DivergenceError if the monitored distance grows past 1e12 times its
-    starting value.
+    DivergenceError at the first monitored distance past 1e12 times
+    max(1, its starting value) or NaN, as ``iterate`` does.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != geom.ambient_dim:
@@ -344,7 +345,7 @@ def dense_iterate(
         n += 1
         d = distance(x)
         distances.append(d)
-        if d > blowup:
+        if not d <= blowup:  # NaN too
             raise DivergenceError(
                 f"{spec.label}: distance to the intersection reached {d:.3e} "
                 f"at iteration {n}; the scheme does not converge here",

@@ -21,6 +21,7 @@ from projrates.bench import (
     sample_pair,
     start_vector,
     table_from_records,
+    table_pairs,
 )
 from projrates.methods import DivergenceError, MethodSpec, iterate
 from projrates.subspaces import pair_geometry
@@ -152,6 +153,15 @@ def test_run_grid_record_count(tiny_table):
     # 2 primary bins x 2 secondary x 2 pairs x 2 starts x 3 methods
     assert len(tiny_table.records) == 2 * 2 * 2 * 2 * 3
     assert tiny_table.methods == ("BT", "S:best", "MAP")
+
+
+def test_table_pairs_walks_the_records_order(tiny_table):
+    walked = [(TINY.cell_label(i, j), k, pair_seed, geom.theta_F, m, start_seed, x0.tobytes())
+              for (i, j), k, pair_seed, geom, starts in table_pairs(TINY, 5) for m, start_seed, x0 in starts]
+    recorded = [(r.cell, r.pair_index, r.pair_seed, r.theta_F, r.start_index, r.start_seed,
+                 start_vector(TINY.ambient_dim, r.start_seed, norm=TINY.start_norm).tobytes())
+                for r in tiny_table.records if r.method == "BT"]
+    assert walked == recorded
 
 
 def test_run_grid_deterministic(tiny_table):

@@ -529,6 +529,24 @@ def test_bench_pair_leaving_its_cell_exits_1(tmp_path, capsys):
     assert "fell outside its cell" in capsys.readouterr().err
 
 
+def test_bench_grid_too_large_for_memory_names_ambient_dim(tmp_path, capsys):
+    # 10,000,000^2 doubles are 728 TiB: numpy refuses the first n x n array at once
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"ambient_dim": 10000000}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the grid does not fit in memory at ambient_dim=10000000\n"
+
+
+def test_bench_into_a_used_out_keeps_only_its_own_profiles(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    for methods in ("BT,MAP", "DR"):
+        assert main(["bench", "--config", str(tiny_config), "--methods", methods, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("profile_*.csv")) == ["profile_DR.csv"]
+    with open(out / "records.csv", newline="") as fh:
+        assert {row["method"] for row in csv.DictReader(fh)} == {"DR"}
+
+
 def test_bench_mistyped_config_names_field(tmp_path, capsys):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"pairs_per_cell": "3"}))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import projrates.methods
-from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
+from projrates.bench import DESK_METHODS, CategoryGrid, _derive_seed, sample_pair, start_vector
 from projrates.methods import SHADOW_KINDS, DivergenceError, MethodSpec, iterate, parse_method, predict_rate
 from projrates.subspaces import EPS, canonical_pair, haar_orthogonal, pair_geometry
 
@@ -704,6 +704,19 @@ def test_r_at_the_float_limit_diverges_at_step_1(mu):
     assert err.value.step == 1
 
 
+@pytest.mark.parametrize("method", ["R:1e308", "R:-1e308", "T:1e308", "S:1e308"])
+def test_the_dense_loop_stops_at_a_nan_distance_as_the_engine_does(method):
+    """At |mu| = 1e308 the first step overflows and cancels to a NaN
+    distance; the engine and the dense loop both diverge at that step."""
+    geom = pair_geometry(*canonical_pair(8, [0.0, 0.3, 0.9], q=4, seed=1))
+    spec, x0 = parse_method(method), start_vector(8, 0)
+    with pytest.raises(DivergenceError) as err:
+        iterate(spec, geom, x0, max_iter=2000)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as ref:
+        oracles.dense_iterate(spec, geom, x0, max_iter=2000)
+    assert err.value.step == ref.value.step == 1
+
+
 def test_a_plane_turned_nan_by_an_overflowing_power_diverges():
     """S beyond its interval, from a start with exact zeros in the plane of
     theta_p, where r = 1 - mu sin^2(theta_p) is -4.  The (0, 1) entry of
@@ -722,3 +735,55 @@ def test_a_plane_turned_nan_by_an_overflowing_power_diverges():
         projrates.methods._linear_orbit(
             spec, spec.mu, predict_rate(spec, geom).gamma, geom.frame, start, 0.0, 20000)
     assert err.value.step == 1008
+
+
+# ---------------------------------------------------------------------------
+# the whole-table check script, on one pair
+
+
+def _check_one_pair(capsys) -> tuple:
+    """``check_tables.check`` on one W1 pair at n = 10 and one start, whose
+    linear runs span several chunks at the small cap; returns its count of
+    runs that differ and what it printed."""
+    import check_tables
+
+    grid = CategoryGrid(primary_bins=((0.0, 0.05),), secondary_bins=1, ambient_dim=10,
+                        pairs_per_cell=1, starts_per_pair=1, max_iter=5000)
+    bad = check_tables.check(grid, DESK_METHODS, 2)
+    return bad, capsys.readouterr().out
+
+
+def test_check_tables_finds_no_mismatch_on_one_pair(capsys):
+    bad, out = _check_one_pair(capsys)
+    assert bad == 0
+    assert "1 of 1 desk BT runs equal oracles.bt_moment_loop byte for byte" in out
+    assert "3 of 3 desk S:best, T:best, MAP, DR runs of more than one chunk" in out
+    assert "4 of 4 desk S:best, T:best, MAP, DR runs give oracles.dense_iterate's count" in out
+
+
+def test_check_tables_reports_a_broken_bt_step(monkeypatch, capsys):
+    loop = projrates.methods._bt_float_loop
+
+    def broken(a, sn, c, fixed, orbit, mus):
+        a = loop(a, sn, c, fixed, orbit, mus)
+        mus[-1] = math.nextafter(mus[-1], math.inf)  # the last step's mu, one ulp off
+        return a
+
+    monkeypatch.setattr(projrates.methods, "_bt_float_loop", broken)
+    bad, out = _check_one_pair(capsys)
+    assert bad == 1
+    assert "BT differs from the oracle" in out
+
+
+def test_check_tables_reports_a_broken_linear_chunk(monkeypatch, capsys):
+    extend = projrates.methods._Orbit.extend
+
+    def early(self, d):
+        """Read the state one column early after a chunk that ran whole."""
+        taken = extend(self, d)
+        return taken - 1 if taken == d.size else taken
+
+    monkeypatch.setattr(projrates.methods._Orbit, "extend", early)
+    bad, out = _check_one_pair(capsys)
+    assert bad >= 1
+    assert "differs between chunk caps" in out
