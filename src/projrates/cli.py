@@ -73,28 +73,36 @@ def _load_geometry(u_file: str, v_file: str, zero_tol: float):
 
 #: encodes one row of a matrix as ``json.dumps(indent=2)`` lays out the
 #: entries of a row nested two levels under a top-level key, but in C
-_MATRIX_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
+_MATRIX_ROW = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
 def _json_dumps(d: dict) -> str:
-    """``json.dumps(d, indent=2)``, byte for byte.  With ``indent`` set,
-    ``json`` encodes in pure Python, so each top-level matrix, a nonempty
-    list of nonempty rows of scalars (the limit of ``analyze``, the bases of
-    ``angles``), is written row by row with the C encoder, which formats
-    floats with the same ``float.__repr__``, and spliced in."""
+    """``json.dumps(d, indent=2, allow_nan=False)``, byte for byte, so a
+    non-finite float raises ValueError: JSON has no NaN.  With ``indent``
+    set, ``json`` encodes in pure Python, so each top-level matrix, a
+    nonempty list of nonempty rows of scalars (the limit of ``analyze``, the
+    bases of ``angles``), is written row by row with the C encoder, which
+    formats floats with the same ``float.__repr__``, and spliced in."""
     matrices = {
         key: value for key, value in d.items()
         if isinstance(value, list) and value
         and all(isinstance(row, list) and row for row in value)
     }
     text = json.dumps(
-        {key: None if key in matrices else value for key, value in d.items()}, indent=2
+        {key: None if key in matrices else value for key, value in d.items()}, indent=2, allow_nan=False
     )
     for key, rows in matrices.items():
         body = ",\n    ".join("[\n      " + _MATRIX_ROW.encode(row)[1:-1] + "\n    ]" for row in rows)
         quoted = json.dumps(key)
         text = text.replace(f"\n  {quoted}: null", f"\n  {quoted}: [\n    {body}\n  ]", 1)
     return text
+
+
+def _json_stats(table) -> dict:
+    """``table.bin_stats`` with null for the median and mean of an empty
+    bin, which the summary writes as nan."""
+    return {method: {label: b if b["instances"] else {**b, "median": None, "mean": None}
+                     for label, b in bins.items()} for method, bins in table.bin_stats.items()}
 
 
 def cmd_analyze(args) -> int:
@@ -149,6 +157,8 @@ def cmd_solve(args) -> int:
     _check_seed(args.seed)
     if not 0.0 < args.x0_norm < X0_BOUND:
         raise ValueError(f"--x0-norm must be > 0 and below {X0_BOUND:g}, got {args.x0_norm!r}")
+    if args.trace and not os.path.isdir(os.path.dirname(args.trace) or "."):  # fails before the run
+        raise ValueError(f"--trace {args.trace}: no such directory")
     geom = _load_geometry(args.u_file, args.v_file, args.zero_tol)
     spec = parse_method(args.method)
     prediction = predict_rate(spec, geom)
@@ -244,7 +254,7 @@ def cmd_bench(args) -> int:
     table.export(out_dir)
 
     if args.json:
-        print(_json_dumps({"master_seed": args.seed, "out": str(out_dir), "stats": table.bin_stats}))
+        print(_json_dumps({"master_seed": args.seed, "out": str(out_dir), "stats": _json_stats(table)}))
     else:
         print(table.format_summary())
         print(f"\nwrote {out_dir}/summary.csv, records.csv, and per-method profiles")
@@ -266,7 +276,7 @@ def cmd_report(args) -> int:
         with open(args.out, "w") as fh:
             table.write_summary_csv(fh)
     if args.json:
-        print(_json_dumps({"stats": table.bin_stats}))
+        print(_json_dumps({"stats": _json_stats(table)}))
     else:
         print(table.format_summary())
     return EXIT_OK

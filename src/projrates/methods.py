@@ -441,34 +441,45 @@ def _chunk_steps(gamma, d, eps, previous, most):
 def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
     """T/S/R/MAP/DR in principal coordinates.
 
-    Row k < K holds the (u_k, w_k) coordinates of plane k, on which the
-    scheme is the 2x2 block [[1 - mu s^2, mu c s], [b21, b22]]: b21, b22 are
-    0, 1 - mu for T, 0, 0 for S and -mu c s, 1 - mu s^2 for R (a scaled
-    rotation).  The last row holds the norms of the V ∩ U-perp part and of
-    the (U + V)-perp remainder, which the scheme scales by (1 - mu, 1 - mu),
-    (0, 0) and (1 - mu, 1) respectively.  A chunk of m steps is filled by
-    doubling: the states at steps h..2h-1 are B^h times those at 0..h-1, with
-    B^h from repeated squaring, so a chunk costs O(K m) multiplications in
-    log2(m) batched 2x2 products.  ``_chunk_steps`` sizes each chunk from
-    the closed-form rate gamma (None on a nested pair), so that most runs
-    that stop take one or two chunks.  Every chunk is a view of a prefix of
-    the run's one flat chunk array, filled from column 0 (the state the
-    chunk before stopped at); a new array is made only when a chunk needs
-    more room.  The start's rows and its distance under each monitor
-    depend on the start alone: they are kept in its memo (``start``, from
-    ``PrincipalFrame.start``) for the next method run from it.
+    Row k < K holds two coordinates of plane k, on which the scheme is the
+    2x2 block [[1 - mu s^2, mu c s], [b21, b22]]: b21, b22 are 0, 1 - mu for
+    T, 0, 0 for S and -mu c s, 1 - mu s^2 for R.  T and S hold (u_k, w_k).
+    R is a scaled rotation, so it commutes with the rotation that takes
+    (u_k, w_k) to the V-aligned (c u_k + s w_k, c w_k - s u_k), and R holds
+    those: its block is the same, and column 0 is the P_V shadow.  The last
+    row holds the norms of the V ∩ U-perp part and of the (U + V)-perp
+    remainder, which the scheme scales by (1 - mu, 1 - mu), (0, 0) and
+    (1 - mu, 1) respectively.  The monitored distance is the norm of the
+    first ``cols`` columns: 2 for T and S, 1 (the shadow) for R.  A chunk of
+    m steps is filled by doubling: the states at steps h..2h-1 are B^h times
+    those at 0..h-1, with B^h from repeated squaring, so a chunk costs
+    O(K m) multiplications in log2(m) batched 2x2 products.
+    ``_chunk_steps`` sizes each chunk from the closed-form rate gamma (None
+    on a nested pair), so that most runs that stop take one or two chunks.
+    Every chunk is a view of a prefix of the run's one flat chunk array,
+    filled from column 0 (the state the chunk before stopped at); a new
+    array is made only when a chunk needs more room.  The start's rows and
+    distance depend on the start and the monitor alone: they are kept in
+    its memo (``start``, from ``PrincipalFrame.start``) under ``cols`` for
+    the next method run from it.
     """
     along_u, along_w, in_extra, rest = start["parts"]
     s, c, sn = frame.s, frame.cos, frame.sin
     kind = _RELAXED_OF.get(spec.kind, spec.kind)
-    rows = c.size + 1
-    if "state" not in start:
+    rows, cols = c.size + 1, 1 if kind == "R" else 2
+
+    def monitored(states):
+        d = np.einsum("rct,rct->t", states[:, :cols], states[:, :cols])
+        return np.sqrt(d, out=d)
+
+    if cols not in start:
         state = np.empty((rows, 2))
-        state[:-1, 0], state[:-1, 1] = along_u[s:], along_w
+        u, w = along_u[s:], along_w
+        state[:-1, 0], state[:-1, 1] = (c * u + sn * w, c * w - sn * u) if kind == "R" else (u, w)
         state[-1] = math.sqrt(in_extra @ in_extra), math.sqrt(rest @ rest)
         state.flags.writeable = False
-        start["state"] = state
-    state = start["state"]
+        start[cols] = state, float(monitored(state[:, :, None])[0])
+    state, d0 = start[cols]
     block = np.zeros((rows, 2, 2))
     block[:-1, 0, 0] = 1.0 - mu * sn * sn
     block[:-1, 0, 1] = mu * c * sn
@@ -479,24 +490,7 @@ def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
         block[:-1, 1, 1] = block[:-1, 0, 0]
         block[-1, 0, 0], block[-1, 1, 1] = 1.0 - mu, 1.0
     powers = [block]  # B^(2^i)
-
-    if kind == "R":  # the P_V shadow: (c, s) . (u, w) in each plane, the V ∩ U-perp part
-        weights = np.append(np.stack([c, sn], axis=1), [[1.0, 0.0]], axis=0)
-
-        def monitored(states):
-            shadow = np.einsum("rc,rct->rt", weights, states)
-            d = np.einsum("rt,rt->t", shadow, shadow)
-            return np.sqrt(d, out=d)
-    else:
-
-        def monitored(states):
-            d = np.einsum("rct,rct->t", states, states)
-            return np.sqrt(d, out=d)
-
-    d0 = "shadow d0" if kind == "R" else "d0"
-    if d0 not in start:
-        start[d0] = float(monitored(state[:, :, None])[0])
-    orbit = _Orbit(spec.label, start[d0], eps, max_iter)
+    orbit = _Orbit(spec.label, d0, eps, max_iter)
     size, most = 0, max(_FIRST_CHUNK, _CHUNK_ELEMENTS // rows)
     chunk = np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -518,9 +512,11 @@ def _linear_orbit(spec, mu, gamma, frame, start, eps, max_iter):
             state = states[:, :, orbit.extend(monitored(states[:, :, 1:]))]
     orbit.settle()
     end = state.copy()  # not a view that holds the last chunk
-    (e_norm, r_norm), (e_end, r_end) = start["state"][-1], end[-1]
-    return orbit, (end[:-1, 0], end[:-1, 1],
-                   e_end / e_norm if e_norm else 0.0, r_end / r_norm if r_norm else 0.0)
+    a, b = end[:-1, 0], end[:-1, 1]
+    if kind == "R":  # back from the V-aligned coordinates
+        a, b = c * a - sn * b, sn * a + c * b
+    (e_norm, r_norm), (e_end, r_end) = start[cols][0][-1], end[-1]
+    return orbit, (a, b, e_end / e_norm if e_norm else 0.0, r_end / r_norm if r_norm else 0.0)
 
 
 def _adaptive_orbit(spec, frame, parts, eps, max_iter):

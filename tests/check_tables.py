@@ -1,7 +1,8 @@
 """Check every run of a benchmark table against a slow path, for each
-master seed given (2025 when none is): the desk table, or with ``--full``
-the ``bench --full`` protocol's.  One walk over the table
-(``bench.table_pairs``, in ``run_grid``'s order) makes three checks:
+master seed given (2025 when none is): the desk table, with R:0.5 next to
+its methods, or with ``--full`` the ``bench --full`` protocol's.  One walk
+over the table (``bench.table_pairs``, in ``run_grid``'s order) makes four
+checks:
 
 - each BT run against ``oracles.bt_moment_loop``, byte for byte in all it
   returns and in the principal coordinates of its final point, which
@@ -11,6 +12,10 @@ the ``bench --full`` protocol's.  One walk over the table
   against the shipped cap: the same count, outcome, divergence step and
   length, and each distance within a relative 1e-12 (plus 1e-12 gamma^n
   |x0| for DR, as in ``test_a_chunk_plan_never_changes_an_answer``);
+- each linear run that does not diverge against the dense projectors: its
+  first and last distances are those of x0 and ``x_final`` (of their P_V
+  shadows for R and DR) within 1e-12 |x0|, which no chunk cap can show of
+  a wrong coordinate change into the principal frame or out of it;
 - on the desk table, each linear run against ``oracles.dense_iterate``:
   the same count, ``solved`` flag and divergence step, with the smallest
   |d_n/eps - 1| at a crossing of eps printed as the margin.  ``--full``
@@ -23,6 +28,7 @@ BT's planes at ±0.0 and out of the kernel, and exits 1 if any run differs.
 """
 
 import argparse
+import collections
 import sys
 from unittest import mock
 
@@ -33,6 +39,9 @@ import projrates.methods
 from projrates.bench import DESK_METHODS, FULL_GRID, FULL_METHODS, CategoryGrid, method_rules, table_pairs
 from projrates.methods import SHADOW_KINDS, DivergenceError, iterate, predict_rate
 from projrates.subspaces import PrincipalFrame
+
+#: the desk methods and R away from mu = 1, which DR alone leaves unchecked
+DESK_CHECKED = (*DESK_METHODS, "R:0.5")
 
 
 def inert(v: np.ndarray) -> int:
@@ -72,6 +81,21 @@ def agree(got, ref, spec, geom, x0) -> bool:
     return bool(np.all(np.abs(got.distances - ref.distances) <= tol))
 
 
+def dense_distance(spec, geom, x) -> float:
+    """The distance of x to U ∩ V, of its P_V shadow for R and DR, from
+    the n x n projectors."""
+    if spec.kind in SHADOW_KINDS:
+        x = geom.P_V @ x
+    return float(np.linalg.norm(x - geom.P_M @ x))
+
+
+def ends_agree(run, spec, geom, x0) -> bool:
+    """The first and last distances of a run that did not diverge are the
+    dense ones of its start and its final point."""
+    dense = [dense_distance(spec, geom, x) for x in (x0, run.x_final)]
+    return bool(np.all(np.abs(run.distances[[0, -1]] - dense) <= 1e-12 * np.linalg.norm(x0)))
+
+
 def check(grid, methods, master_seed: int, full: bool = False) -> int:
     """Walk the seed's table of ``methods`` on ``grid`` once and check each
     run, against the dense loop too unless it is the ``full`` protocol's;
@@ -80,7 +104,8 @@ def check(grid, methods, master_seed: int, full: bool = False) -> int:
     small = shipped // 32
     rules = method_rules(methods)
     linear = ", ".join(label for label, _ in rules if label != "BT")
-    runs, joined = [], []  # per BT float loop its start, end and kernel calls; each final point's parts
+    # per BT float loop its start, end and kernel calls; the parts of the last two final points
+    runs, joined = [], collections.deque(maxlen=2)
     loop, kernel, join = projrates.methods._bt_float_loop, projrates.methods._bt_kernel, PrincipalFrame.join
 
     def spy_loop(a, *args):
@@ -99,7 +124,7 @@ def check(grid, methods, master_seed: int, full: bool = False) -> int:
         joined.append(b"".join(np.asarray(part).tobytes() for part in parts))
         return join(frame, *parts)
 
-    bt = bt_bad = chunked = capped = chunk_bad = dense_runs = dense_bad = 0
+    bt = bt_bad = chunked = capped = chunk_bad = ended = end_bad = dense_runs = dense_bad = 0
     margin = float("inf")
     with mock.patch.multiple(projrates.methods, _bt_float_loop=spy_loop, _bt_kernel=spy_kernel), \
             mock.patch.object(PrincipalFrame, "join", spy_join):
@@ -120,6 +145,11 @@ def check(grid, methods, master_seed: int, full: bool = False) -> int:
                                   f"{len(ref.distances) - 1} steps)")
                         continue
                     got = outcome(iterate, spec, geom, x0, grid)
+                    if not isinstance(got, int):
+                        ended += 1
+                        if not ends_agree(got, spec, geom, x0):
+                            end_bad += 1
+                            print(f"{where}: {label}'s first or last distance is not the dense one")
                     small_run, chunks = at_cap(small, spec, geom, x0, grid)
                     if chunks > 1:
                         chunked += 1
@@ -151,10 +181,12 @@ def check(grid, methods, master_seed: int, full: bool = False) -> int:
           f"left the kernel at a nonzero value whose square is 0.0; {rerun} segments were run again")
     print(f"seed {master_seed}: {chunked - chunk_bad} of {chunked} {name} {linear} runs of more than one "
           f"chunk at cap {small} ({capped} capped at {grid.max_iter} steps) agree with cap {shipped}")
+    print(f"seed {master_seed}: {ended - end_bad} of {ended} {name} {linear} runs that do not diverge start "
+          f"and end at the dense distance of x0 and x_final, within 1e-12 |x0|")
     print(f"seed {master_seed}: {name} skips oracles.dense_iterate (about 40M dense steps at n = 100)" if full
           else f"seed {master_seed}: {dense_runs - dense_bad} of {dense_runs} {name} {linear} runs give oracles."
           f"dense_iterate's count, solved flag and divergence step; smallest |d_n/eps - 1| at a crossing {margin:.2e}")
-    return bt_bad + chunk_bad + dense_bad
+    return bt_bad + chunk_bad + end_bad + dense_bad
 
 
 def main() -> int:
@@ -162,7 +194,7 @@ def main() -> int:
     parser.add_argument("seeds", nargs="*", type=int, default=[2025], help="master seeds")
     parser.add_argument("--full", action="store_true", help="the bench --full protocol, not the desk table")
     args = parser.parse_args()
-    grid, methods = (FULL_GRID, FULL_METHODS) if args.full else (CategoryGrid(), DESK_METHODS)
+    grid, methods = (FULL_GRID, FULL_METHODS) if args.full else (CategoryGrid(), DESK_CHECKED)
     return 1 if sum(check(grid, methods, seed, args.full) for seed in args.seeds) else 0
 
 

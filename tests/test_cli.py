@@ -96,10 +96,18 @@ def test_analyze_json_is_json_dumps_indent_2(tmp_path, capsys, a):
     ],
 )
 def test_report_json_matches_generic_encoder(limit, warnings):
+    """Byte for byte, and a non-finite entry is refused by both."""
     report = dataclasses.replace(
         classify_convergence(np.diag([1.0, 0.5])), limit=limit, warnings=warnings
     )
-    assert _json_dumps(report_to_dict(report)) == json.dumps(report_to_dict(report), indent=2)
+    d = report_to_dict(report)
+    try:
+        expected = json.dumps(d, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite entry
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_dumps(d)
+    else:
+        assert _json_dumps(d) == expected
 
 
 def test_analyze_names_complex_subdominant_eigenvalues(tmp_path, capsys):
@@ -357,6 +365,18 @@ def test_solve_at_a_huge_mu_diverges_at_step_1(files, capsys, kind, mu):
     assert 1e150 < data["predicted_gamma"] < math.inf
     assert main(["solve", str(u_file), str(v_file), "--method", method]) == 3
     assert "diverged at iteration 1" in capsys.readouterr().out
+
+
+def test_solve_trace_into_a_missing_directory_fails_before_the_run(files, monkeypatch, capsys):
+    tmp_path, _, _, u_file, v_file = files
+
+    def never(*args, **kwargs):
+        raise AssertionError("iterate ran before the trace path was checked")
+
+    monkeypatch.setattr(projrates.cli, "iterate", never)
+    trace = tmp_path / "missing" / "x.csv"
+    assert main(["solve", str(u_file), str(v_file), "--method", "MAP", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: --trace {trace}: no such directory\n"
 
 
 def test_solve_r_at_a_huge_mu_exits_3_without_a_traceback(files):
@@ -689,6 +709,24 @@ def test_report_json(tiny_config, tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert set(data["stats"].keys()) == {"BT", "MAP"}
     assert data["stats"]["MAP"]["W1"]["instances"] == 8
+
+
+def test_report_json_writes_null_for_an_empty_bin(tmp_path, capsys):
+    """Bins without instances have no median or mean: ``--json`` writes
+    null, which a strict parser reads, and the summary keeps nan."""
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "cell,pair_index,start_index,pair_seed,start_seed,theta_F,theta_p,method,"
+        "iterations,solved\nW3Z1,0,0,1,2,0.3,0.4,MAP,12,true\n"
+    )
+    summary = tmp_path / "summary.csv"
+    assert main(["report", str(records), "--json", "--out", str(summary)]) == 0
+    stats = _strict_json(capsys.readouterr().out)["stats"]["MAP"]
+    assert [(b["median"], b["mean"], b["instances"]) for b in stats.values()] == [
+        (None, None, 0), (None, None, 0), (12, 12.0, 1)]
+    assert summary.read_text().splitlines()[2:4] == ["MAP,median,nan,nan,12", "MAP,mean,nan,nan,12.0"]
+    assert main(["report", str(records)]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split() == ["MAP", "median", "nan", "nan", "12"]
 
 
 def test_report_missing_file(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import projrates.methods
-from projrates.bench import DESK_METHODS, CategoryGrid, _derive_seed, sample_pair, start_vector
+from projrates.bench import CategoryGrid, _derive_seed, sample_pair, start_vector
 from projrates.methods import SHADOW_KINDS, DivergenceError, MethodSpec, iterate, parse_method, predict_rate
 from projrates.subspaces import EPS, canonical_pair, haar_orthogonal, pair_geometry
 
@@ -542,7 +542,7 @@ def test_a_shared_start_changes_no_byte(case, data):
     """Every method run from a start its frame has split before (a warm
     frame) answers byte for byte as on a fresh frame (a cold one), and so
     does a start the caller changed in place between two runs.  The split
-    parts a frame keeps are read-only."""
+    parts and the state rows a frame keeps are read-only."""
     pair, specs, x0, eps, max_iter = case
 
     def cold(spec, x):
@@ -560,7 +560,8 @@ def test_a_shared_start_changes_no_byte(case, data):
         assert _run_bytes(spec, geom, changed, eps, max_iter) == cold(spec, changed)
     assert {i: t.x_final.tobytes() for i, t in traces.items()} == {i: reference[i][-1] for i in traces}
     memo = geom.frame.start(changed)
-    for part in (*memo["parts"], *(v for v in memo.values() if isinstance(v, np.ndarray))):
+    assert len(memo) == 3  # the parts, and (state rows, distance) under each monitor: 2 columns and 1
+    for part in (*memo["parts"], memo[2][0], memo[1][0]):
         with pytest.raises(ValueError, match="read-only"):
             part[...] = 0.0
 
@@ -742,14 +743,14 @@ def test_a_plane_turned_nan_by_an_overflowing_power_diverges():
 
 
 def _check_one_pair(capsys) -> tuple:
-    """``check_tables.check`` on one W1 pair at n = 10 and one start, whose
-    linear runs span several chunks at the small cap; returns its count of
-    runs that differ and what it printed."""
+    """``check_tables.check`` on one W1 pair at n = 10 and one start, three
+    of whose linear runs span several chunks at the small cap; returns its
+    count of runs that differ and what it printed."""
     import check_tables
 
     grid = CategoryGrid(primary_bins=((0.0, 0.05),), secondary_bins=1, ambient_dim=10,
                         pairs_per_cell=1, starts_per_pair=1, max_iter=5000)
-    bad = check_tables.check(grid, DESK_METHODS, 2)
+    bad = check_tables.check(grid, check_tables.DESK_CHECKED, 2)
     return bad, capsys.readouterr().out
 
 
@@ -757,8 +758,10 @@ def test_check_tables_finds_no_mismatch_on_one_pair(capsys):
     bad, out = _check_one_pair(capsys)
     assert bad == 0
     assert "1 of 1 desk BT runs equal oracles.bt_moment_loop byte for byte" in out
-    assert "3 of 3 desk S:best, T:best, MAP, DR runs of more than one chunk" in out
-    assert "4 of 4 desk S:best, T:best, MAP, DR runs give oracles.dense_iterate's count" in out
+    assert "3 of 3 desk S:best, T:best, MAP, DR, R:0.5 runs of more than one chunk" in out
+    assert ("5 of 5 desk S:best, T:best, MAP, DR, R:0.5 runs that do not diverge start and end at the dense "
+            "distance of x0 and x_final") in out
+    assert "5 of 5 desk S:best, T:best, MAP, DR, R:0.5 runs give oracles.dense_iterate's count" in out
 
 
 def test_check_tables_reports_a_broken_bt_step(monkeypatch, capsys):

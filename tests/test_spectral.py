@@ -298,6 +298,12 @@ def test_overflowing_norm_is_named():
             fn(a)
 
 
+@pytest.mark.parametrize("fn", [classify_convergence, eigen_structure, spectral_projectors])
+def test_empty_matrix_is_named_by_its_shape(fn):
+    with pytest.raises(ValueError, match=r"expected a nonempty matrix, got shape \(0, 0\)"):
+        fn(np.zeros((0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # Jordan indices resolved on demand, against the fully resolved oracle
 
