@@ -698,13 +698,14 @@ def _bt_kernel(k: int):
     return namespace["kernel"]
 
 
-def fit_rate(distances: np.ndarray, floor: float = 1e-13) -> float | None:
+def fit_rate(distances: np.ndarray) -> float | None:
     """Least-squares slope of log(distance): the empirical contraction factor.
 
-    Returns None when fewer than three distances sit above the noise floor.
+    Returns None when fewer than three distances sit above the noise floor
+    of 1e-13.
     """
     d = np.asarray(distances, dtype=float)
-    mask = d > floor
+    mask = d > 1e-13
     if int(mask.sum()) < 3:
         return None
     idx = np.nonzero(mask)[0]
@@ -716,10 +717,9 @@ def fit_rate(distances: np.ndarray, floor: float = 1e-13) -> float | None:
 # guarantee checks for the adaptive schemes
 
 
-def _adaptive_bound_ratio(
-    kind: str, geom: PairGeometry, x0: np.ndarray, n_max: int
-) -> float:
-    """Worst observed ratio of distance to its guaranteed envelope.
+def _adaptive_bound_ratio(kind: str, geom: PairGeometry, x0: np.ndarray) -> float:
+    """Worst observed ratio of distance to its guaranteed envelope over the
+    first 50 steps.
 
     BT from any start contracts at least by gamma_s per step after a first
     step bounded by cos(theta_F) (by gamma_s itself when the start lies in
@@ -752,9 +752,9 @@ def _adaptive_bound_ratio(
         first_factor = cos_f
 
     # the steps keep the U ∩ V part of the start, so the distance of step n
-    # to P_M x0 is its monitored distance; eps = 0 runs all n_max steps
-    # unless the orbit lands exactly on the intersection
-    lhs = iterate(MethodSpec(kind), geom, x, eps=0.0, max_iter=n_max).distances[1:]
+    # to P_M x0 is its monitored distance; eps = 0 runs all 50 steps unless
+    # the orbit lands exactly on the intersection
+    lhs = iterate(MethodSpec(kind), geom, x, eps=0.0, max_iter=50).distances[1:]
     n = np.arange(1, lhs.size + 1)
     # BT: step n is within gamma^(n-1) * first_factor of the start's
     # distance; AT gains one extra contraction from the seeding step.
@@ -763,17 +763,18 @@ def _adaptive_bound_ratio(
     return float(np.max(lhs / (envelope + floor), initial=0.0))
 
 
-def verify_bt_bound(geom: PairGeometry, x0: np.ndarray, n_max: int = 50) -> tuple[bool, float]:
-    """Check the BT distance guarantee along one orbit.
+def verify_bt_bound(geom: PairGeometry, x0: np.ndarray) -> tuple[bool, float]:
+    """Check the BT distance guarantee along the first 50 steps of one orbit.
 
     Returns (passed, worst ratio of observed distance to the envelope);
     passes when the worst ratio is at most 1 + 1e-9.
     """
-    worst = _adaptive_bound_ratio("BT", geom, x0, n_max)
+    worst = _adaptive_bound_ratio("BT", geom, x0)
     return worst <= 1.0 + 1e-9, worst
 
 
-def verify_at_bound(geom: PairGeometry, x0: np.ndarray, n_max: int = 50) -> tuple[bool, float]:
-    """Check the AT guarantee for an orbit seeded with one MAP step."""
-    worst = _adaptive_bound_ratio("AT", geom, x0, n_max)
+def verify_at_bound(geom: PairGeometry, x0: np.ndarray) -> tuple[bool, float]:
+    """Check the AT guarantee along the first 50 steps of an orbit seeded
+    with one MAP step."""
+    worst = _adaptive_bound_ratio("AT", geom, x0)
     return worst <= 1.0 + 1e-9, worst

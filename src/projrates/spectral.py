@@ -77,6 +77,11 @@ class ConvergenceReport:
 # helpers
 
 
+#: distance of a modulus from 1 below which a value other than 1 makes the
+#: verdict borderline: no finite computation settles such a case
+_TOL_CIRCLE = 1e-7
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(a, 2))
@@ -130,7 +135,7 @@ def _cluster_index(a: np.ndarray, value: complex, mult: int, rank_tol: float) ->
     """Smallest k with rank((A - value*I)^k) = n - mult, in real arithmetic
     for a real value."""
     n = a.shape[0]
-    b = a - value.real * np.eye(n) if value.imag == 0.0 else a.astype(complex) - value * np.eye(n)
+    b = a - np.diag(np.full(n, value.real if value.imag == 0.0 else value))
     sv = np.linalg.svd(b, compute_uv=False)
     smax = float(np.amax(sv))  # operator_norm(b), from the call the k = 1 test reads
     if smax <= rank_tol * abs(value):
@@ -185,9 +190,7 @@ class _Spectrum:
     rank_tol: float
 
 
-def _clustered_spectrum(
-    a: np.ndarray, cluster_tol: float | None, rank_tol: float | None
-) -> _Spectrum:
+def _clustered_spectrum(a: np.ndarray, cluster_tol: float | None) -> _Spectrum:
     """Eigenvalues of a checked square matrix, clustered and paired with
     their conjugates; see ``eigen_structure`` for the tolerances."""
     norm = operator_norm(a)
@@ -197,10 +200,8 @@ def _clustered_spectrum(
         )
     if cluster_tol is None:
         cluster_tol = 1e-7 * max(1.0, norm)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a.shape[0])
-    if cluster_tol <= 0 or rank_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    elif not 0.0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
 
     eigvals = np.linalg.eigvals(a)
     reps: list[complex] = []
@@ -235,7 +236,9 @@ def _clustered_spectrum(
             raise SpectralError(f"complex cluster {value} lacks a matching conjugate partner")
         j = int(candidates[0])
         partners[i], partners[j] = j, i
-    return _Spectrum(tuple(values), tuple(mults), tuple(partners), cluster_tol, rank_tol)
+    return _Spectrum(
+        tuple(values), tuple(mults), tuple(partners), cluster_tol, default_rank_tol(a.shape[0])
+    )
 
 
 def _clusters(a: np.ndarray, spectrum: _Spectrum, positions) -> dict[int, EigenCluster]:
@@ -255,33 +258,28 @@ def _clusters(a: np.ndarray, spectrum: _Spectrum, positions) -> dict[int, EigenC
     return out
 
 
-def eigen_structure(
-    a: np.ndarray,
-    cluster_tol: float | None = None,
-    rank_tol: float | None = None,
-) -> EigenStructure:
+def eigen_structure(a: np.ndarray, cluster_tol: float | None = None) -> EigenStructure:
     """Cluster the spectrum of a real square matrix and resolve Jordan indices.
 
     Eigenvalues within ``cluster_tol`` of each other (single linkage) are
     treated as one eigenvalue, represented by their mean; means with
     ``|Im| <= cluster_tol`` are projected onto the real axis.  The index of
     each cluster comes from rank stabilization of powers of ``A - value*I``,
-    with numerical ranks thresholded at ``rank_tol * ||A - value*I||^k``.
-    Every cluster is resolved, so a cluster whose index the rank test
-    cannot settle raises ``SpectralError``.
+    with numerical ranks thresholded at ``rank_tol * ||A - value*I||^k``
+    and ``rank_tol = 100 * n * eps``: enough headroom over eigensolver
+    rounding in the cluster representative, still orders of magnitude
+    below the cluster separation scale.  Every cluster is resolved, so a
+    cluster whose index the rank test cannot settle raises
+    ``SpectralError``.
 
     Parameters
     ----------
     a : (n, n) array
     cluster_tol : float, optional
         Defaults to ``1e-7 * max(1, ||A||)``.
-    rank_tol : float, optional
-        Relative rank threshold, defaults to ``100 * n * eps``: enough
-        headroom over eigensolver rounding in the cluster representative,
-        still orders of magnitude below the cluster separation scale.
     """
     a = _check_square(a)
-    spectrum = _clustered_spectrum(a, cluster_tol, rank_tol)
+    spectrum = _clustered_spectrum(a, cluster_tol)
     clusters = tuple(_clusters(a, spectrum, range(len(spectrum.values))).values())
     policy = f"sigma > rank_tol * ||A - value*I||^k with rank_tol = {spectrum.rank_tol:.6e}"
     return EigenStructure(
@@ -305,32 +303,34 @@ def _subdominant(values, cluster_tol: float) -> tuple[int | None, float, list[in
 # limits
 
 
-def _projector_onto_kernel_along_range(
-    b: np.ndarray, kdim: int, abs_tol: float | None = None, rank_tol: float = 0.0
+def _cluster_projector(
+    a: np.ndarray, value: complex, index: int, mult: int, rank_tol: float
 ) -> np.ndarray:
-    """Projector onto ker(b) along ran(b); requires the two to be complementary.
+    """Spectral projector of the cluster at ``value``: onto ker(B^index)
+    along ran(B^index), with B = A - value*I in real arithmetic for a real
+    value, as ``_cluster_index`` forms it.
 
-    ``abs_tol`` is the absolute singular-value cutoff separating ran(b)
-    from ker(b); callers scale it to the natural magnitude of b.  Without
-    it the cutoff is ``rank_tol`` times the largest singular value of b,
-    read from the SVD that splits it, but at least ``rank_tol``: b = A - I
-    may be pure rounding noise.  The error carries the kernel dimension
-    found as ``kernel_dim``.
+    One SVD of B^index splits its range from its kernel, at the cutoff
+    ``rank_tol * max(||B||, |value|)^index``: the natural scale of the
+    power, as in the index search, and at least |value|^index when B is pure
+    rounding noise.  ||B|| is that SVD's largest singular value when
+    index = 1.  The error carries the kernel dimension found as
+    ``kernel_dim``.
     """
-    n = b.shape[0]
-    u, s, vh = np.linalg.svd(b)
-    if abs_tol is None:
-        abs_tol = rank_tol * max(float(s[0]), 1.0)
-    r = int(np.count_nonzero(s > abs_tol))
-    if n - r != kdim:
+    n = a.shape[0]
+    b = a - np.diag(np.full(n, value.real if value.imag == 0.0 else value))
+    u, s, vh = np.linalg.svd(np.linalg.matrix_power(b, index))
+    norm = float(s[0]) if index == 1 else operator_norm(b)
+    r = int(np.count_nonzero(s > rank_tol * max(norm, abs(value)) ** index))
+    if n - r != mult:
         err = SpectralError(
             f"kernel dimension {n - r} does not match the algebraic multiplicity "
-            f"{kdim}; spectrum too poorly separated for a reliable projector"
+            f"{mult}; spectrum too poorly separated for a reliable projector"
         )
         err.kernel_dim = n - r
         raise err
-    kernel = vh[r:].conj().T  # columns span ker(b)
-    ran = u[:, :r]  # columns span ran(b)
+    kernel = vh[r:].conj().T  # columns span ker(B^index)
+    ran = u[:, :r]  # columns span ran(B^index)
     basis = np.hstack([kernel, ran])
     target = np.hstack([kernel, np.zeros((n, r), dtype=basis.dtype)])
     # P maps the kernel part to itself and the range part to zero
@@ -355,17 +355,12 @@ def _is_orthogonal_projector(p: np.ndarray) -> bool:
     return all(operator_norm(x) <= 1e-9 * scale for x in residuals)
 
 
-def classify_convergence(
-    a: np.ndarray,
-    cluster_tol: float | None = None,
-    rank_tol: float | None = None,
-    tol_circle: float = 1e-7,
-) -> ConvergenceReport:
+def classify_convergence(a: np.ndarray, cluster_tol: float | None = None) -> ConvergenceReport:
     """Decide whether A^k converges, and package limit, rate, and optimality.
 
     Convergent means: spectral radius < 1, or radius 1 attained only by a
     semisimple eigenvalue exactly equal to 1.  A modulus within
-    ``tol_circle`` of 1 whose value differs from 1 is classified as not
+    1e-7 of 1 whose value differs from 1 is classified as not
     convergent and flagged as borderline, since no finite computation can
     settle that case.
 
@@ -375,14 +370,14 @@ def classify_convergence(
     """
     a = _check_square(a)
     n = a.shape[0]
-    spectrum = _clustered_spectrum(a, cluster_tol, rank_tol)
+    spectrum = _clustered_spectrum(a, cluster_tol)
     values = spectrum.values
     moduli = [abs(v) for v in values]
     rho = max(moduli)
     unit, gamma, attaining = _subdominant(values, spectrum.cluster_tol)
     clusters = _clusters(a, spectrum, attaining if unit is None else [unit, *attaining])
     subdominant = tuple(clusters[i] for i in attaining)
-    on_circle = [i for i, m in enumerate(moduli) if abs(m - 1.0) <= tol_circle]
+    on_circle = [i for i, m in enumerate(moduli) if abs(m - 1.0) <= _TOL_CIRCLE]
     bad_circle = [i for i in on_circle if i != unit]
 
     notes: list[str] = []
@@ -390,19 +385,18 @@ def classify_convergence(
     if bad_circle:
         notes.extend(
             f"borderline: |{values[i]}| = {moduli[i]:.12g} lies within "
-            f"tol_circle={tol_circle:g} of 1 but the value is not 1"
+            f"tol_circle={_TOL_CIRCLE:g} of 1 but the value is not 1"
             for i in bad_circle
         )
-    elif rho > 1.0 + tol_circle:
+    elif rho > 1.0 + _TOL_CIRCLE:
         pass  # strictly expanding somewhere
     elif unit in on_circle:
         if not clusters[unit].semisimple:
             notes.append("eigenvalue 1 is defective (index > 1), powers do not converge")
         else:
             try:
-                limit = _projector_onto_kernel_along_range(
-                    a - np.eye(n), spectrum.mults[unit], rank_tol=spectrum.rank_tol
-                )
+                # the limit splits A - I itself, not A minus the cluster mean
+                limit = _cluster_projector(a, 1.0, 1, spectrum.mults[unit], spectrum.rank_tol)
             except SpectralError as exc:
                 # an eigenvalue clustered at 1 whose kernel does not show up
                 # at the rank tolerance: numerically indistinguishable from a
@@ -412,7 +406,7 @@ def classify_convergence(
                     f"{spectrum.cluster_tol:g} of 1 but the value is not 1"
                     if exc.kernel_dim == 0 else f"borderline: {exc}"
                 )
-    elif rho < 1.0 - tol_circle:
+    elif rho < 1.0 - _TOL_CIRCLE:
         limit = np.zeros((n, n))
     convergent = limit is not None
 
@@ -429,29 +423,23 @@ def classify_convergence(
 
 
 def spectral_projectors(
-    a: np.ndarray,
-    cluster_tol: float | None = None,
-    rank_tol: float | None = None,
+    a: np.ndarray, cluster_tol: float | None = None
 ) -> list[tuple[EigenCluster, np.ndarray]]:
     """Spectral projector of every eigen cluster.
 
     For a cluster at value v with index k, the projector maps onto
-    ``ker((A - vI)^k)`` along ``ran((A - vI)^k)``.  Projectors of complex
-    clusters are complex; they sum to the identity, annihilate each other,
-    and commute with A.
+    ``ker((A - vI)^k)`` along ``ran((A - vI)^k)``.  Projectors of real
+    clusters are real and those of complex clusters complex; they sum to
+    the identity, annihilate each other, and commute with A.
     """
     a = _check_square(a)
-    n = a.shape[0]
-    spectrum = _clustered_spectrum(a, cluster_tol, rank_tol)
+    spectrum = _clustered_spectrum(a, cluster_tol)
     out = []
     for c in _clusters(a, spectrum, range(len(spectrum.values))).values():
-        b = a.astype(complex) - c.value * np.eye(n)
-        bk = np.linalg.matrix_power(b, c.index)
-        # cutoff at the power's natural scale ||B||^k, matching the index
-        # search, and at least |value|^k when B is pure rounding noise
-        abs_tol = spectrum.rank_tol * max(operator_norm(b), abs(c.value)) ** c.index
         try:
-            proj = _projector_onto_kernel_along_range(bk, c.algebraic_multiplicity, abs_tol)
+            proj = _cluster_projector(
+                a, c.value, c.index, c.algebraic_multiplicity, spectrum.rank_tol
+            )
         except SpectralError as exc:
             gap = _min_cluster_gap(spectrum.values)
             raise SpectralError(f"{exc} (smallest cluster gap: {gap:.3e})") from None

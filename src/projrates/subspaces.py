@@ -53,15 +53,15 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def subspace_from_spanning(m: np.ndarray, rank_tol: float | None = None) -> Subspace:
+def subspace_from_spanning(m: np.ndarray) -> Subspace:
     """Column span of an arbitrary matrix as a Subspace (SVD orthonormalization).
 
-    A zero matrix yields the zero subspace.
+    Singular values at most ``max(m.shape) * eps * sigma_max`` count as zero,
+    so a zero matrix yields the zero subspace.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * EPS * (s[0] if s.size else 0.0)
+    rank_tol = max(m.shape) * EPS * (s[0] if s.size else 0.0)
     r = int(np.count_nonzero(s > rank_tol))
     return Subspace(u[:, :r])
 

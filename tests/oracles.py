@@ -15,11 +15,13 @@ numpy arrays, which checks bit for bit the generated kernel BT runs on
 pairs with at most ``_FLOAT_LOOP_MAX_K`` (64) nonzero angles, in the tests
 and over whole benchmark runs in ``check_tables.py``; ``full_classify``, the
 convergence verdict over the fully resolved ``eigen_structure``, which
-checks the Jordan indices ``classify_convergence`` resolves on demand;
-``complex_cluster_index``, the rank test of a Jordan index in complex
-arithmetic, which checks the real-arithmetic test ``_cluster_index`` runs
-for a real eigenvalue; and ``loop_parse_matrix``, the token-by-token
-matrix parser, which checks the per-row fast path of ``parse_matrix``.
+checks the Jordan indices ``classify_convergence`` resolves on demand and,
+through its own ``projector_onto_kernel_along_range``, the limit that
+``_cluster_projector`` builds; ``complex_cluster_index``, the rank test of
+a Jordan index in complex arithmetic, which checks the real-arithmetic test
+``_cluster_index`` runs for a real eigenvalue; and ``loop_parse_matrix``,
+the token-by-token matrix parser, which checks the per-row fast path of
+``parse_matrix``.
 """
 
 import dataclasses
@@ -41,7 +43,6 @@ from projrates.spectral import (
     ConvergenceReport,
     EigenStructure,
     SpectralError,
-    _projector_onto_kernel_along_range,
     default_rank_tol,
     eigen_structure,
     operator_norm,
@@ -473,18 +474,34 @@ def _gamma(struct: EigenStructure):
     return gamma, attaining
 
 
-def full_classify(
-    a: np.ndarray,
-    cluster_tol: float | None = None,
-    rank_tol: float | None = None,
-    tol_circle: float = 1e-7,
-) -> ConvergenceReport:
+def projector_onto_kernel_along_range(b: np.ndarray, kdim: int, abs_tol: float) -> np.ndarray:
+    """Projector onto ker(b) along ran(b), with singular values of b above
+    ``abs_tol`` spanning the range, from one SVD of b as the caller forms
+    it.  Raises ``SpectralError`` carrying ``kernel_dim`` when the kernel
+    found does not have dimension ``kdim``."""
+    n = b.shape[0]
+    u, s, vh = np.linalg.svd(b)
+    r = int(np.count_nonzero(s > abs_tol))
+    if n - r != kdim:
+        err = SpectralError(
+            f"kernel dimension {n - r} does not match the algebraic multiplicity "
+            f"{kdim}; spectrum too poorly separated for a reliable projector"
+        )
+        err.kernel_dim = n - r
+        raise err
+    basis = np.hstack([vh[r:].conj().T, u[:, :r]])  # kernel, then range
+    target = np.hstack([vh[r:].conj().T, np.zeros((n, r), dtype=basis.dtype)])
+    return np.linalg.solve(basis.T, target.T).T
+
+
+def full_classify(a: np.ndarray, cluster_tol: float | None = None) -> ConvergenceReport:
     """``classify_convergence`` over the full ``eigen_structure``: the Jordan
     index of every cluster is resolved, so a rank test that fails on any
     cluster raises ``SpectralError``, even one the report does not list."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    struct = eigen_structure(a, cluster_tol, rank_tol)
+    tol_circle = 1e-7
+    struct = eigen_structure(a, cluster_tol)
     rho = max(c.modulus for c in struct.clusters)
     gamma, attaining = _gamma(struct)
     unit = _unit_cluster(struct)
@@ -513,12 +530,12 @@ def full_classify(
     is_orth = False
     if convergent:
         if unit is not None and on_circle:
-            rt = default_rank_tol(n) if rank_tol is None else rank_tol
             b = a - np.eye(n)
             try:
                 # at least rank_tol: A - I may be pure rounding noise
-                limit = _projector_onto_kernel_along_range(
-                    b, unit.algebraic_multiplicity, rt * max(operator_norm(b), 1.0)
+                limit = projector_onto_kernel_along_range(
+                    b, unit.algebraic_multiplicity,
+                    default_rank_tol(n) * max(operator_norm(b), 1.0),
                 )
             except SpectralError as exc:
                 convergent = False

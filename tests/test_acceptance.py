@@ -203,11 +203,11 @@ def test_criterion_07_adaptive_step_guarantees():
             x0 = rng.standard_normal(geom.ambient_dim) * float(rng.uniform(0.5, 20.0))
             flavor = i % 3
             if flavor == 0:
-                ok, worst = verify_bt_bound(geom, x0, n_max=50)
+                ok, worst = verify_bt_bound(geom, x0)
             elif flavor == 1:
-                ok, worst = verify_bt_bound(geom, geom.P_U @ x0, n_max=50)
+                ok, worst = verify_bt_bound(geom, geom.P_U @ x0)
             else:
-                ok, worst = verify_at_bound(geom, x0, n_max=50)
+                ok, worst = verify_at_bound(geom, x0)
             assert ok, (i, flavor, worst)
 
 

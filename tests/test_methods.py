@@ -502,7 +502,7 @@ def test_bt_one_step_when_angles_equal():
 
 def test_bt_contraction_bound_holds(geom_937):
     rng = np.random.default_rng(16)
-    ok, worst = verify_bt_bound(geom_937, rng.standard_normal(9) * 10, n_max=50)
+    ok, worst = verify_bt_bound(geom_937, rng.standard_normal(9) * 10)
     assert ok, worst
     # started inside U the envelope drops its first-step factor
     ok_u, worst_u = verify_bt_bound(geom_937, geom_937.P_U @ rng.standard_normal(9) * 10)
@@ -511,7 +511,7 @@ def test_bt_contraction_bound_holds(geom_937):
 
 def test_at_contraction_bound_holds(geom_937):
     rng = np.random.default_rng(17)
-    ok, worst = verify_at_bound(geom_937, rng.standard_normal(9) * 10, n_max=50)
+    ok, worst = verify_at_bound(geom_937, rng.standard_normal(9) * 10)
     assert ok, worst
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from oracles import (
     loop_min_gap,
     nonnormal_upper_example,
     nonnormal_upper_ratio,
+    projector_onto_kernel_along_range,
     random_orthogonal,
     rotation_scaling_block,
     sorted_moduli,
@@ -30,7 +32,9 @@ from projrates.methods import MethodSpec, build_operator, convergence_interval, 
 from projrates.spectral import (
     SpectralError,
     classify_convergence,
+    default_rank_tol,
     eigen_structure,
+    operator_norm,
     report_from_dict,
     report_to_dict,
     spectral_projectors,
@@ -234,7 +238,7 @@ def test_orthogonality_test_takes_two_norm_above_frobenius_threshold(
             calls.append(x)
         return norm(x)
 
-    monkeypatch.setattr(spectral, "_projector_onto_kernel_along_range", limit)
+    monkeypatch.setattr(spectral, "_cluster_projector", limit)
     monkeypatch.setattr(spectral, "operator_norm", counted)
     report = classify_convergence(p0)
     assert report.status == "convergent" and report.limit is p
@@ -302,6 +306,14 @@ def test_overflowing_norm_is_named():
 def test_empty_matrix_is_named_by_its_shape(fn):
     with pytest.raises(ValueError, match=r"expected a nonempty matrix, got shape \(0, 0\)"):
         fn(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("fn", [classify_convergence, eigen_structure, spectral_projectors])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_cluster_tol_must_be_positive_and_finite(fn, tol):
+    """A NaN tolerance merges no two eigenvalues, since d <= nan is false."""
+    with pytest.raises(ValueError, match=f"cluster_tol must be positive and finite, got {tol!r}"):
+        fn(np.diag([0.5, 0.5 + 1e-9, 0.2]), cluster_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +403,7 @@ def test_real_rank_test_gives_the_complex_index(family, seed):
     complex arithmetic (``complex_cluster_index``), or both raise."""
     a = MATRIX_FAMILIES[family](np.random.default_rng(seed))
     try:
-        spectrum = spectral._clustered_spectrum(a, None, None)
+        spectrum = spectral._clustered_spectrum(a, None)
     except SpectralError:
         return
     real = [(v, m) for v, m in zip(spectrum.values, spectrum.mults) if v.imag == 0.0]
@@ -516,6 +528,48 @@ def test_spectral_projectors_reconstruct_matrix():
         for j, (_, q2) in enumerate(pairs):
             expected = p if i == j else np.zeros_like(p)
             np.testing.assert_allclose(p @ q2, expected, atol=1e-9)
+
+
+def test_real_clusters_get_real_projectors_from_one_svd_each(monkeypatch):
+    """Each projector comes from one SVD of (A - value*I)^index, and an
+    index-1 cluster takes no other besides its rank test.  A real
+    cluster's projector is float64 and agrees with the one formed in complex
+    arithmetic; a conjugate pair's are complex; the unit cluster's is the
+    limit of ``classify_convergence``, byte for byte."""
+    a = scipy.linalg.block_diag(
+        1.0, rotation_scaling_block(0.8, 0.5), jordan_block(0.5, 2), -0.3
+    )
+    a[0, 1:] = 0.3  # an oblique limit, and exact eigenvalues: column 0 is e_0
+    a[1:3, 3:] = 0.2
+    n = len(a)
+    svd = np.linalg._linalg.svd
+    svds = []
+
+    def counted_svd(*args, **kwargs):
+        svds.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    pairs = spectral_projectors(a)
+    monkeypatch.undo()
+    # ||A||; the rank tests, of B for each cluster but the second of the
+    # pair and of B^2 too at index 2; ||B|| for the index-2 projector only
+    assert svds.count(True) == len(pairs) == 5
+    assert svds.count(False) == 1 + 5 + 1
+    for c, p in pairs:
+        b = a.astype(complex) - c.value * np.eye(n)
+        cutoff = default_rank_tol(n) * max(operator_norm(b), abs(c.value)) ** c.index
+        expected = projector_onto_kernel_along_range(
+            np.linalg.matrix_power(b, c.index), c.algebraic_multiplicity, cutoff
+        )
+        assert p.dtype == (np.float64 if c.value.imag == 0.0 else np.complex128)
+        np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
+    assert [c.index for c, _ in pairs] == [1, 1, 1, 2, 1]
+    assert pairs[0][0].value == 1.0
+    report = classify_convergence(a)
+    assert report.status == "convergent" and not report.limit_is_orthogonal_projector
+    assert pairs[0][1].tobytes() == report.limit.tobytes()
 
 
 def test_report_round_trip():
