@@ -1,7 +1,7 @@
 """Convergence rates of matrix powers and of projection methods for
 intersecting a pair of linear subspaces.
 
-The package has four layers:
+The package has six layers:
 
 - ``spectral``: does A^k converge, to what limit, and how fast.
 - ``subspaces``: principal angles, Friedrichs angle, projectors, and a
@@ -10,6 +10,9 @@ The package has four layers:
   generalized averaged reflections, and their adaptively accelerated
   variants, with predicted rates and a common iteration driver.
 - ``bench``: a seeded, categorized benchmark harness with CSV exports.
+- ``matio``: the text matrix format that the command line reads and writes.
+- ``cli``: the ``projrates`` command line (``analyze``, ``angles``,
+  ``solve``, ``bench``, ``report``).
 """
 
 from .bench import (
@@ -65,7 +68,6 @@ from .subspaces import (
     geometry_to_dict,
     haar_orthogonal,
     pair_geometry,
-    principal_angles,
     projector,
     subspace_from_spanning,
 )
@@ -103,7 +105,6 @@ __all__ = [
     "parse_matrix",
     "parse_method",
     "predict_rate",
-    "principal_angles",
     "projector",
     "read_matrix",
     "read_records_csv",

@@ -50,7 +50,6 @@ class EigenCluster:
 class EigenStructure:
     clusters: tuple[EigenCluster, ...]
     cluster_tol: float
-    rank_tol_policy: str
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,11 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shifted(a: np.ndarray, value: complex) -> np.ndarray:
+    """``A - value*I``, in real arithmetic for a real value."""
+    return a - np.diag(np.full(a.shape[0], value.real if value.imag == 0.0 else value))
+
+
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``|x_i - y_j|`` for every i, j, rounded as ``abs`` rounds one complex
     scalar (``np.abs`` on a complex array may differ in the last bit)."""
@@ -131,11 +135,12 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _cluster_index(a: np.ndarray, value: complex, mult: int, rank_tol: float) -> int:
+def _cluster_index(a: np.ndarray, value: complex, mult: int) -> int:
     """Smallest k with rank((A - value*I)^k) = n - mult, in real arithmetic
     for a real value."""
     n = a.shape[0]
-    b = a - np.diag(np.full(n, value.real if value.imag == 0.0 else value))
+    rank_tol = default_rank_tol(n)
+    b = _shifted(a, value)
     sv = np.linalg.svd(b, compute_uv=False)
     smax = float(np.amax(sv))  # operator_norm(b), from the call the k = 1 test reads
     if smax <= rank_tol * abs(value):
@@ -187,7 +192,6 @@ class _Spectrum:
     mults: tuple[int, ...]
     partners: tuple[int | None, ...]
     cluster_tol: float
-    rank_tol: float
 
 
 def _clustered_spectrum(a: np.ndarray, cluster_tol: float | None) -> _Spectrum:
@@ -236,9 +240,7 @@ def _clustered_spectrum(a: np.ndarray, cluster_tol: float | None) -> _Spectrum:
             raise SpectralError(f"complex cluster {value} lacks a matching conjugate partner")
         j = int(candidates[0])
         partners[i], partners[j] = j, i
-    return _Spectrum(
-        tuple(values), tuple(mults), tuple(partners), cluster_tol, default_rank_tol(a.shape[0])
-    )
+    return _Spectrum(tuple(values), tuple(mults), tuple(partners), cluster_tol)
 
 
 def _clusters(a: np.ndarray, spectrum: _Spectrum, positions) -> dict[int, EigenCluster]:
@@ -253,7 +255,7 @@ def _clusters(a: np.ndarray, spectrum: _Spectrum, positions) -> dict[int, EigenC
         if partner in out:
             index = out[partner].index
         else:
-            index = _cluster_index(a, value, mult, spectrum.rank_tol)
+            index = _cluster_index(a, value, mult)
         out[i] = EigenCluster(value, abs(value), mult, index, index == 1)
     return out
 
@@ -281,10 +283,7 @@ def eigen_structure(a: np.ndarray, cluster_tol: float | None = None) -> EigenStr
     a = _check_square(a)
     spectrum = _clustered_spectrum(a, cluster_tol)
     clusters = tuple(_clusters(a, spectrum, range(len(spectrum.values))).values())
-    policy = f"sigma > rank_tol * ||A - value*I||^k with rank_tol = {spectrum.rank_tol:.6e}"
-    return EigenStructure(
-        clusters=clusters, cluster_tol=spectrum.cluster_tol, rank_tol_policy=policy
-    )
+    return EigenStructure(clusters=clusters, cluster_tol=spectrum.cluster_tol)
 
 
 def _subdominant(values, cluster_tol: float) -> tuple[int | None, float, list[int]]:
@@ -303,25 +302,23 @@ def _subdominant(values, cluster_tol: float) -> tuple[int | None, float, list[in
 # limits
 
 
-def _cluster_projector(
-    a: np.ndarray, value: complex, index: int, mult: int, rank_tol: float
-) -> np.ndarray:
+def _cluster_projector(a: np.ndarray, value: complex, index: int, mult: int) -> np.ndarray:
     """Spectral projector of the cluster at ``value``: onto ker(B^index)
     along ran(B^index), with B = A - value*I in real arithmetic for a real
     value, as ``_cluster_index`` forms it.
 
     One SVD of B^index splits its range from its kernel, at the cutoff
-    ``rank_tol * max(||B||, |value|)^index``: the natural scale of the
-    power, as in the index search, and at least |value|^index when B is pure
-    rounding noise.  ||B|| is that SVD's largest singular value when
+    ``default_rank_tol(n) * max(||B||, |value|)^index``: the natural scale
+    of the power, as in the index search, and at least |value|^index when B
+    is pure rounding noise.  ||B|| is that SVD's largest singular value when
     index = 1.  The error carries the kernel dimension found as
     ``kernel_dim``.
     """
     n = a.shape[0]
-    b = a - np.diag(np.full(n, value.real if value.imag == 0.0 else value))
+    b = _shifted(a, value)
     u, s, vh = np.linalg.svd(np.linalg.matrix_power(b, index))
     norm = float(s[0]) if index == 1 else operator_norm(b)
-    r = int(np.count_nonzero(s > rank_tol * max(norm, abs(value)) ** index))
+    r = int(np.count_nonzero(s > default_rank_tol(n) * max(norm, abs(value)) ** index))
     if n - r != mult:
         err = SpectralError(
             f"kernel dimension {n - r} does not match the algebraic multiplicity "
@@ -336,6 +333,11 @@ def _cluster_projector(
     # P maps the kernel part to itself and the range part to zero
     return np.linalg.solve(basis.T, target.T).T
 
+
+#: bound on ||sum of the spectral projectors - I||_2: well-separated
+#: clusters leave rounding noise (at most 2.4e-10 over the test families),
+#: a split Jordan block leaves 1e3 or more
+_SUM_TOL = 1e-6
 
 #: ||X||_2 <= ||X||_F and the orthogonality threshold is 1e-9 * scale with
 #: scale >= 1, so residuals this small in the Frobenius norm pass without an
@@ -396,7 +398,7 @@ def classify_convergence(a: np.ndarray, cluster_tol: float | None = None) -> Con
         else:
             try:
                 # the limit splits A - I itself, not A minus the cluster mean
-                limit = _cluster_projector(a, 1.0, 1, spectrum.mults[unit], spectrum.rank_tol)
+                limit = _cluster_projector(a, 1.0, 1, spectrum.mults[unit])
             except SpectralError as exc:
                 # an eigenvalue clustered at 1 whose kernel does not show up
                 # at the rank tolerance: numerically indistinguishable from a
@@ -425,25 +427,34 @@ def classify_convergence(a: np.ndarray, cluster_tol: float | None = None) -> Con
 def spectral_projectors(
     a: np.ndarray, cluster_tol: float | None = None
 ) -> list[tuple[EigenCluster, np.ndarray]]:
-    """Spectral projector of every eigen cluster.
+    """Spectral projector of every cluster of ``eigen_structure``.
 
     For a cluster at value v with index k, the projector maps onto
     ``ker((A - vI)^k)`` along ``ran((A - vI)^k)``.  Projectors of real
     clusters are real and those of complex clusters complex; they sum to
-    the identity, annihilate each other, and commute with A.
+    the identity, annihilate each other, and commute with A.  A sum
+    farther than ``_SUM_TOL`` from I in the 2-norm raises
+    ``SpectralError``: a Jordan block whose computed eigenvalues scatter
+    beyond ``cluster_tol`` splits into simple clusters whose rank tests
+    pass, and only the sum shows it.
     """
-    a = _check_square(a)
-    spectrum = _clustered_spectrum(a, cluster_tol)
+    structure = eigen_structure(a, cluster_tol)
+    a = np.asarray(a, dtype=float)  # checked by eigen_structure
+    gap = _min_cluster_gap([c.value for c in structure.clusters])
     out = []
-    for c in _clusters(a, spectrum, range(len(spectrum.values))).values():
+    for c in structure.clusters:
         try:
-            proj = _cluster_projector(
-                a, c.value, c.index, c.algebraic_multiplicity, spectrum.rank_tol
-            )
+            proj = _cluster_projector(a, c.value, c.index, c.algebraic_multiplicity)
         except SpectralError as exc:
-            gap = _min_cluster_gap(spectrum.values)
             raise SpectralError(f"{exc} (smallest cluster gap: {gap:.3e})") from None
         out.append((c, proj))
+    residual = operator_norm(sum(p for _, p in out) - np.eye(len(a)))
+    if not residual <= _SUM_TOL:
+        raise SpectralError(
+            f"the projectors sum to I only within {residual:.3e} (smallest cluster gap: "
+            f"{gap:.3e}, cluster_tol={structure.cluster_tol:.3e}); eigenvalues split "
+            "beyond cluster_tol, a larger one may merge them"
+        )
     return out
 
 

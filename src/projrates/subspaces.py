@@ -84,35 +84,6 @@ def _check_pair(u: Subspace, v: Subspace) -> None:
             raise ValueError(f"{name} subspace is the full space; angles undefined")
 
 
-def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
-    """Principal angles in ascending order, length min(dim U, dim V).
-
-    Cosines are the singular values of Q_U^T Q_V.  Angles below pi/4 are
-    recovered from sines (singular values of (I - P_U) Q_V) instead of
-    from arccos, which cannot resolve small angles in double precision.
-    """
-    _check_pair(u, v)
-    qu, qv = u.basis, v.basis
-    if qu.shape[1] > qv.shape[1]:
-        qu, qv = qv, qu
-    p = qu.shape[1]
-
-    overlap = qu.T @ qv
-    cosines = np.linalg.svd(overlap, compute_uv=False)
-    cosines = np.clip(cosines, 0.0, 1.0)  # descending: angles ascending
-    residual = qv - qu @ overlap
-    sines = np.sort(np.linalg.svd(residual, compute_uv=False))[:p]
-    sines = np.clip(sines, 0.0, 1.0)
-
-    angles = np.empty(p)
-    for k in range(p):
-        if cosines[k] ** 2 >= 0.5:
-            angles[k] = np.arcsin(sines[k])
-        else:
-            angles[k] = np.arccos(cosines[k])
-    return angles
-
-
 @dataclass(frozen=True, eq=False)
 class PrincipalFrame:
     """Principal coordinates of a pair: the basis in which every projection
@@ -236,8 +207,8 @@ class PairGeometry:
         tell cos 0 from cos theta_F.  So when k nonzero angles have
         sin(theta) < 1/8, the whole cluster, the s zero angles and those k,
         is re-paired from the SVD of the U-perp parts of its v's (n x
-        (s + k)), as ``principal_angles`` measures small angles from the
-        sines: the s directions of zero sine span U ∩ V, the next k give the
+        (s + k)), as ``pair_geometry`` measures small angles from the sines:
+        the s directions of zero sine span U ∩ V, the next k give the
         w_k.
         """
         qu, qv = self.U.basis, self.V.basis
@@ -269,11 +240,23 @@ def _check_zero_tol(zero_tol: float) -> None:
 
 
 def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:
-    """Measure a pair of subspaces into a PairGeometry."""
+    """Measure a pair of subspaces into a PairGeometry.
+
+    The p = min(dim U, dim V) principal angles come out ascending.  Their
+    cosines are the singular values of Q_U^T Q_V.  Angles below pi/4 are
+    recovered from the sines (singular values of (I - P_U) Q_V) instead of
+    from arccos, which cannot resolve small angles in double precision.
+    """
     _check_zero_tol(zero_tol)
-    angles = principal_angles(u, v)
+    _check_pair(u, v)
     if u.dim > v.dim:
         u, v = v, u
+    qu, qv = u.basis, v.basis
+    overlap = qu.T @ qv
+    cosines = np.clip(np.linalg.svd(overlap, compute_uv=False), 0.0, 1.0)  # descending
+    sines = np.sort(np.linalg.svd(qv - qu @ overlap, compute_uv=False))[: u.dim]
+    sines = np.clip(sines, 0.0, 1.0)
+    angles = np.where(cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines))
     s = int(np.count_nonzero(angles <= zero_tol))
     return PairGeometry(U=u, V=v, angles=angles, s=s, zero_tol=zero_tol)
 

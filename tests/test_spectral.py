@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -316,6 +317,40 @@ def test_cluster_tol_must_be_positive_and_finite(fn, tol):
         fn(np.diag([0.5, 0.5 + 1e-9, 0.2]), cluster_tol=tol)
 
 
+@pytest.mark.parametrize("fn", [classify_convergence, eigen_structure, spectral_projectors])
+@pytest.mark.parametrize("a, message", [
+    (np.ones((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+    ([[math.nan]], "matrix entries must be finite"),
+])
+def test_non_square_and_non_finite_matrices_are_named(fn, a, message):
+    """The command line never gets here: ``parse_matrix`` rejects both first."""
+    with pytest.raises(ValueError, match=message):
+        fn(a)
+
+
+@pytest.mark.parametrize("fn", [classify_convergence, eigen_structure, spectral_projectors])
+def test_cluster_means_within_cluster_tol_raise(fn):
+    """Twelve eigenvalues on a circle of radius 0.15 about the eigenvalue
+    0.5 chain to their neighbours (0.078 apart) but not to the centre, so
+    at cluster_tol = 0.1 they form one cluster whose mean is the centre."""
+    ring = [0.5 * np.eye(2) + rotation_scaling_block(0.15, (2 * k + 1) * math.pi / 12)
+            for k in range(6)]
+    a = assemble([np.diag([0.5]), *ring])
+    with pytest.raises(SpectralError, match="cluster representatives are not separated by "
+                       r"more than cluster_tol=1\.000e-01 \(min gap"):
+        fn(a, cluster_tol=0.1)
+
+
+def test_projector_kernel_mismatch_names_the_smallest_cluster_gap():
+    """At cluster_tol = 1e-14 the eigenvalues 10 and 10 + 1e-13 (10 +
+    9.948e-14 in float64) stay apart, and ||A - 10 I|| = 9.948e-14 is below
+    100 n eps * 10 = 4.4e-13, so the rank test reads index 1 at once; the
+    projector's cutoff then finds the whole space as the kernel of A - 10 I."""
+    with pytest.raises(SpectralError, match=r"kernel dimension 2 does not match the algebraic "
+                       r"multiplicity 1; .* \(smallest cluster gap: 9\.948e-14\)"):
+        spectral_projectors(np.diag([10.0, 10.0 + 1e-13]), cluster_tol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Jordan indices resolved on demand, against the fully resolved oracle
 
@@ -388,9 +423,9 @@ def test_classify_matches_fully_resolved_oracle(family, seed):
         assert report.limit.tobytes() == expected.limit.tobytes()
 
 
-def _index_or_error(rank_test, a, value, mult, rank_tol):
+def _index_or_error(rank_test, *args):
     try:
-        return rank_test(a, value, mult, rank_tol)
+        return rank_test(*args)
     except SpectralError:
         return "SpectralError"
 
@@ -408,9 +443,10 @@ def test_real_rank_test_gives_the_complex_index(family, seed):
         return
     real = [(v, m) for v, m in zip(spectrum.values, spectrum.mults) if v.imag == 0.0]
     event(f"{len(real)} real clusters")
+    rank_tol = default_rank_tol(len(a))
     for value, mult in real:
-        got = _index_or_error(spectral._cluster_index, a, value, mult, spectrum.rank_tol)
-        assert got == _index_or_error(complex_cluster_index, a, value, mult, spectrum.rank_tol)
+        got = _index_or_error(spectral._cluster_index, a, value, mult)
+        assert got == _index_or_error(complex_cluster_index, a, value, mult, rank_tol)
 
 
 def test_defective_complex_pair_shares_its_index():
@@ -530,6 +566,35 @@ def test_spectral_projectors_reconstruct_matrix():
             np.testing.assert_allclose(p @ q2, expected, atol=1e-9)
 
 
+#: the draws of ``planted_matrix`` among seeds 0-59 whose Jordan blocks
+#: split, at the default cluster_tol, into clusters that pass the rank test
+SPLIT_PLANTED_SEEDS = [1, 2, 4, 9, 14, 17, 19, 22, 28, 29, 39, 40, 52, 53]
+
+
+def test_projectors_that_do_not_sum_to_identity_raise():
+    """Their sums miss I by 2.7e3 to 1.4e15 in the 2-norm; every other draw
+    either resolves, to within 1e-13, or fails its rank test first."""
+    split = []
+    for seed in range(60):
+        a = planted_matrix(np.random.default_rng(seed))
+        try:
+            pairs = spectral_projectors(a)
+        except SpectralError as exc:
+            if "sum to I" in str(exc):
+                assert re.search(r"within \S+ \(smallest cluster gap: \S+, cluster_tol=\S+\)",
+                                 str(exc))
+                split.append(seed)
+            else:
+                assert str(exc).startswith("rank of")
+            continue
+        assert operator_norm(sum(p for _, p in pairs) - np.eye(len(a))) <= 1e-13
+    assert split == SPLIT_PLANTED_SEEDS
+    # a larger cluster_tol merges the split block back, as the error suggests
+    a = planted_matrix(np.random.default_rng(2))
+    pairs = spectral_projectors(a, cluster_tol=1e-4)
+    assert operator_norm(sum(p for _, p in pairs) - np.eye(len(a))) <= 1e-6
+
+
 def test_real_clusters_get_real_projectors_from_one_svd_each(monkeypatch):
     """Each projector comes from one SVD of (A - value*I)^index, and an
     index-1 cluster takes no other besides its rank test.  A real
@@ -554,9 +619,10 @@ def test_real_clusters_get_real_projectors_from_one_svd_each(monkeypatch):
     pairs = spectral_projectors(a)
     monkeypatch.undo()
     # ||A||; the rank tests, of B for each cluster but the second of the
-    # pair and of B^2 too at index 2; ||B|| for the index-2 projector only
+    # pair and of B^2 too at index 2; ||B|| for the index-2 projector only;
+    # and the 2-norm of the projectors' sum minus I
     assert svds.count(True) == len(pairs) == 5
-    assert svds.count(False) == 1 + 5 + 1
+    assert svds.count(False) == 1 + 5 + 1 + 1
     for c, p in pairs:
         b = a.astype(complex) - c.value * np.eye(n)
         cutoff = default_rank_tol(n) * max(operator_norm(b), abs(c.value)) ** c.index

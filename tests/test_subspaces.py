@@ -17,7 +17,6 @@ from projrates.subspaces import (
     geometry_to_dict,
     haar_orthogonal,
     pair_geometry,
-    principal_angles,
     projector,
     subspace_from_spanning,
 )
@@ -95,7 +94,7 @@ def test_angles_of_known_plane_pair():
     u = Subspace(np.eye(4)[:, :2])
     v = Subspace(np.column_stack([np.eye(4)[:, 0],
                                   [0, math.cos(t), math.sin(t), 0]]))
-    angles = principal_angles(u, v)
+    angles = pair_geometry(u, v).angles
     np.testing.assert_allclose(angles, [0.0, t], atol=1e-12)
 
 
@@ -105,7 +104,7 @@ def test_angles_match_scipy_on_random_pairs():
         n = int(rng.integers(4, 12))
         u = random_subspace(n, int(rng.integers(1, n - 1)), rng)
         v = random_subspace(n, int(rng.integers(1, n - 1)), rng)
-        assert_angles_match_oracle(principal_angles(u, v), u, v)
+        assert_angles_match_oracle(pair_geometry(u, v).angles, u, v)
 
 
 def test_angles_symmetric_in_arguments():
@@ -113,25 +112,25 @@ def test_angles_symmetric_in_arguments():
     u = random_subspace(8, 3, rng)
     v = random_subspace(8, 5, rng)
     np.testing.assert_allclose(
-        principal_angles(u, v), principal_angles(v, u), atol=1e-12
+        pair_geometry(u, v).angles, pair_geometry(v, u).angles, atol=1e-12
     )
 
 
 def test_tiny_angle_resolved_far_below_arccos_resolution():
     tiny = 3e-9
     u, v = canonical_pair(6, [tiny, 0.8], seed=0)
-    angles = principal_angles(u, v)
+    angles = pair_geometry(u, v).angles
     assert math.isclose(angles[0], tiny, rel_tol=1e-4)
 
 
 def test_angles_reject_degenerate_inputs():
     u = Subspace(np.eye(3)[:, :1])
     with pytest.raises(ValueError, match="zero subspace"):
-        principal_angles(u, subspace_from_spanning(np.zeros((3, 1))))
+        pair_geometry(u, subspace_from_spanning(np.zeros((3, 1))))
     with pytest.raises(ValueError, match="full space"):
-        principal_angles(u, Subspace(np.eye(3)))
+        pair_geometry(u, Subspace(np.eye(3)))
     with pytest.raises(ValueError, match="ambient dimensions differ"):
-        principal_angles(u, Subspace(np.eye(4)[:, :1]))
+        pair_geometry(u, Subspace(np.eye(4)[:, :1]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def test_canonical_pair_reproduces_prescribed_angles():
     angles = [0.0, 1e-6, 0.03, 0.6, math.pi / 2]
     u, v = canonical_pair(14, angles, q=6, seed=8)
     assert u.dim == 5 and v.dim == 6
-    np.testing.assert_allclose(principal_angles(u, v), angles, atol=1e-10)
+    np.testing.assert_allclose(pair_geometry(u, v).angles, angles, atol=1e-10)
 
 
 def test_canonical_pair_validates_inputs():
@@ -417,4 +416,4 @@ def test_random_pair_angles_agree_with_scipy(seed):
     v = random_subspace(n, int(rng.integers(1, n)), rng)
     if u.dim == n or v.dim == n:
         return
-    assert_angles_match_oracle(principal_angles(u, v), u, v)
+    assert_angles_match_oracle(pair_geometry(u, v).angles, u, v)
