@@ -56,7 +56,6 @@ from .spectral import (
     EigenStructure,
     classify_convergence,
     eigen_structure,
-    report_from_dict,
     report_to_dict,
     spectral_projectors,
 )
@@ -64,7 +63,6 @@ from .subspaces import (
     PairGeometry,
     Subspace,
     canonical_pair,
-    geometry_from_dict,
     geometry_to_dict,
     haar_orthogonal,
     pair_geometry,
@@ -96,7 +94,6 @@ __all__ = [
     "eigen_structure",
     "fit_rate",
     "format_matrix",
-    "geometry_from_dict",
     "geometry_to_dict",
     "haar_orthogonal",
     "iterate",
@@ -109,7 +106,6 @@ __all__ = [
     "read_matrix",
     "read_records_csv",
     "read_vector",
-    "report_from_dict",
     "report_to_dict",
     "resolve_mu",
     "run_grid",

@@ -279,10 +279,6 @@ class BenchmarkTable:
             }
         return stats
 
-    def stats(self, primary_index: int, method: str) -> dict:
-        """``bin_stats`` of one (primary bin, method) group."""
-        return dict(self.bin_stats[method][self.bin_labels[primary_index]])
-
     def summary_rows(self) -> list:
         """Summary table: a header, the instance counts, then one row per
         method and statistic, one column per primary bin.  Values are left

@@ -210,11 +210,18 @@ def _clustered_spectrum(a: np.ndarray, cluster_tol: float | None) -> _Spectrum:
     eigvals = np.linalg.eigvals(a)
     reps: list[complex] = []
     mults: list[int] = []
+    projected: dict[complex, int] = {}  # non-real mean put on the real axis -> position
     for idx in _cluster_indices(eigvals, cluster_tol):
-        rep = complex(np.mean(eigvals[idx]))
-        if abs(rep.imag) <= cluster_tol:
-            rep = complex(rep.real, 0.0)
-        reps.append(rep)
+        mean = complex(np.mean(eigvals[idx]))
+        if mean.imag and abs(mean.imag) <= cluster_tol:
+            partner = projected.get(mean.conjugate())
+            if partner is not None:
+                # a conjugate pair farther apart than cluster_tol whose means
+                # project onto one real value: one real cluster
+                mults[partner] += len(idx)
+                continue
+            projected[mean] = len(reps)
+        reps.append(complex(mean.real, 0.0) if abs(mean.imag) <= cluster_tol else mean)
         mults.append(len(idx))
 
     gap = _min_cluster_gap(reps)
@@ -265,7 +272,8 @@ def eigen_structure(a: np.ndarray, cluster_tol: float | None = None) -> EigenStr
 
     Eigenvalues within ``cluster_tol`` of each other (single linkage) are
     treated as one eigenvalue, represented by their mean; means with
-    ``|Im| <= cluster_tol`` are projected onto the real axis.  The index of
+    ``|Im| <= cluster_tol`` are projected onto the real axis, and a conjugate
+    pair of them that lands on one value is one cluster.  The index of
     each cluster comes from rank stabilization of powers of ``A - value*I``,
     with numerical ranks thresholded at ``rank_tol * ||A - value*I||^k``
     and ``rank_tol = 100 * n * eps``: enough headroom over eigensolver
@@ -476,16 +484,6 @@ def _cluster_to_json(c: EigenCluster) -> dict:
     }
 
 
-def _cluster_from_json(d: dict) -> EigenCluster:
-    return EigenCluster(
-        value=complex(d["value"]["re"], d["value"]["im"]),
-        modulus=float(d["modulus"]),
-        algebraic_multiplicity=int(d["algebraic_multiplicity"]),
-        index=int(d["index"]),
-        semisimple=bool(d["semisimple"]),
-    )
-
-
 def report_to_dict(report: ConvergenceReport) -> dict:
     return {
         "status": report.status,
@@ -497,16 +495,3 @@ def report_to_dict(report: ConvergenceReport) -> dict:
         "limit_is_orthogonal_projector": report.limit_is_orthogonal_projector,
         "warnings": list(report.warnings),
     }
-
-
-def report_from_dict(d: dict) -> ConvergenceReport:
-    return ConvergenceReport(
-        status=str(d["status"]),
-        limit=None if d["limit"] is None else np.asarray(d["limit"], dtype=float),
-        spectral_radius=float(d["spectral_radius"]),
-        gamma=float(d["gamma"]),
-        subdominant_clusters=tuple(_cluster_from_json(c) for c in d["subdominant_clusters"]),
-        optimal_rate_attained=bool(d["optimal_rate_attained"]),
-        limit_is_orthogonal_projector=bool(d["limit_is_orthogonal_projector"]),
-        warnings=tuple(d.get("warnings", ())),
-    )

@@ -72,18 +72,6 @@ def projector(space: Subspace) -> np.ndarray:
     return q @ q.T
 
 
-def _check_pair(u: Subspace, v: Subspace) -> None:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    for name, s in (("first", u), ("second", v)):
-        if s.dim == 0:
-            raise ValueError(f"{name} subspace is the zero subspace; angles undefined")
-        if s.dim == s.ambient_dim:
-            raise ValueError(f"{name} subspace is the full space; angles undefined")
-
-
 @dataclass(frozen=True, eq=False)
 class PrincipalFrame:
     """Principal coordinates of a pair: the basis in which every projection
@@ -232,13 +220,6 @@ class PairGeometry:
         return PrincipalFrame(s=s, u=u, w=w, e=e, cos=cos, sin=sin)
 
 
-def _check_zero_tol(zero_tol: float) -> None:
-    # every principal angle is at most pi/2: a tolerance that large would
-    # call every pair nested
-    if not 0.0 <= zero_tol < np.pi / 2:
-        raise ValueError(f"zero_tol must be >= 0 and below pi/2, got {zero_tol!r}")
-
-
 def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeometry:
     """Measure a pair of subspaces into a PairGeometry.
 
@@ -247,8 +228,17 @@ def pair_geometry(u: Subspace, v: Subspace, zero_tol: float = 1e-8) -> PairGeome
     recovered from the sines (singular values of (I - P_U) Q_V) instead of
     from arccos, which cannot resolve small angles in double precision.
     """
-    _check_zero_tol(zero_tol)
-    _check_pair(u, v)
+    # every principal angle is at most pi/2: a tolerance that large would
+    # call every pair nested
+    if not 0.0 <= zero_tol < np.pi / 2:
+        raise ValueError(f"zero_tol must be >= 0 and below pi/2, got {zero_tol!r}")
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError(f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}")
+    for name, space in (("first", u), ("second", v)):
+        if space.dim == 0:
+            raise ValueError(f"{name} subspace is the zero subspace; angles undefined")
+        if space.dim == space.ambient_dim:
+            raise ValueError(f"{name} subspace is the full space; angles undefined")
     if u.dim > v.dim:
         u, v = v, u
     qu, qv = u.basis, v.basis
@@ -329,25 +319,3 @@ def geometry_to_dict(geom: PairGeometry) -> dict:
         "U": geom.U.basis.tolist(),
         "V": geom.V.basis.tolist(),
     }
-
-
-def geometry_from_dict(d: dict) -> PairGeometry:
-    u = Subspace(np.asarray(d["U"], dtype=float))
-    v = Subspace(np.asarray(d["V"], dtype=float))
-    if u.dim != int(d["p"]) or v.dim != int(d["q"]):
-        raise ValueError("basis widths disagree with the stored dimensions")
-    _check_pair(u, v)
-    if u.dim > v.dim:
-        raise ValueError(f"U must be the smaller subspace, got p={u.dim} > q={v.dim}")
-    angles = np.asarray(d["angles"], dtype=float)
-    in_range = np.all((angles >= 0) & (angles <= np.pi / 2))  # NaN fails too
-    if angles.shape != (u.dim,) or not in_range or np.any(np.diff(angles) < 0):
-        raise ValueError(f"need {u.dim} ascending angles in [0, pi/2], got {d['angles']!r}")
-    zero_tol = float(d.get("zero_tol", 1e-8))  # pair_geometry's default
-    _check_zero_tol(zero_tol)
-    s, zeros = int(d["s"]), int(np.count_nonzero(angles <= zero_tol))
-    if s != zeros:
-        raise ValueError(
-            f"s={s} disagrees with the angles: {zeros} of them are at most zero_tol={zero_tol!r}"
-        )
-    return PairGeometry(U=u, V=v, angles=angles, s=s, zero_tol=zero_tol)

@@ -221,7 +221,7 @@ def test_criterion_08_benchmark_method_orderings():
         methods = ["BT", "S:best", "T:best", "MAP", "DR"]
         table = run_grid(grid, methods, master_seed=2025)
         n_bins = len(grid.primary_bins)
-        medians = {m: [table.stats(i, m)["median"] for i in range(n_bins)] for m in methods}
+        medians = {m: [b["median"] for b in table.bin_stats[m].values()] for m in methods}
         for i in (n_bins - 2, n_bins - 1):
             ranked = [medians[m][i] for m in ("BT", "S:best", "T:best", "MAP")]
             assert ranked == sorted(ranked), (i, ranked)

@@ -198,7 +198,7 @@ def test_stats_match_textbook_formulas(tiny_table):
                 for r in tiny_table.records
                 if r.method == method and r.primary_index == i
             ]
-            got = tiny_table.stats(i, method)
+            got = tiny_table.bin_stats[method][tiny_table.bin_labels[i]]
             assert got["instances"] == len(counts) == 8
             assert got["median"] == textbook_median(counts)
             assert math.isclose(got["mean"], textbook_mean(counts), rel_tol=1e-12)
@@ -242,7 +242,7 @@ def test_unsolved_instances_counted_at_max_iter():
         max_iter=2,  # nothing solves in 2 steps from norm-10 starts
     )
     table = run_grid(grid, ["MAP"], master_seed=1)
-    stats = table.stats(0, "MAP")
+    stats = table.bin_stats["MAP"]["W1"]
     assert stats["unsolved"] == 2
     assert stats["median"] == 2.0
     assert all(r.iterations == 2 and not r.solved for r in table.records)
@@ -255,7 +255,7 @@ def test_diverging_instances_counted_unsolved_at_max_iter():
     diverged = [r for r in table.records if r.method == "T:2.5"]
     assert len(diverged) == 16
     assert all(r.iterations == TINY.max_iter and not r.solved for r in diverged)
-    assert table.stats(0, "T:2.5")["unsolved"] == 8
+    assert table.bin_stats["T:2.5"]["W1"]["unsolved"] == 8
     rec = diverged[0]
     geom = sample_pair(TINY, (rec.primary_index, int(rec.cell.split("Z")[1]) - 1), rec.pair_seed)
     x0 = start_vector(TINY.ambient_dim, rec.start_seed, norm=TINY.start_norm)
@@ -275,7 +275,7 @@ def test_fast_cell_ordering():
         starts_per_pair=3,
     )
     table = run_grid(grid, ["BT", "S:best", "MAP"], master_seed=3)
-    medians = {m: table.stats(0, m)["median"] for m in table.methods}
+    medians = {m: table.bin_stats[m]["W1"]["median"] for m in table.methods}
     assert medians["BT"] <= medians["S:best"] <= medians["MAP"]
 
 
@@ -307,9 +307,7 @@ def test_table_from_records_reaggregates(tiny_table):
     tiny_table.write_records_csv(out)
     rebuilt = table_from_records(read_records_csv(io.StringIO(out.getvalue())))
     assert rebuilt.methods == tiny_table.methods
-    for i in (0, 1):
-        for m in rebuilt.methods:
-            assert rebuilt.stats(i, m) == tiny_table.stats(i, m)
+    assert rebuilt.bin_stats == tiny_table.bin_stats
 
 
 def test_rebuilt_table_has_no_grid_and_the_same_summary_bytes(tiny_table):
@@ -332,8 +330,8 @@ def test_rebuilt_table_shows_a_skipped_bin_empty(tiny_table):
     assert rebuilt.bin_labels == ("W1", "W2", "W3")
     for method in rebuilt.methods:
         got = rebuilt.bin_stats[method]
-        assert got["W3"] == tiny_table.stats(0, method)
-        assert got["W2"] == tiny_table.stats(1, method)
+        assert got["W3"] == tiny_table.bin_stats[method]["W1"]
+        assert got["W2"] == tiny_table.bin_stats[method]["W2"]
         assert (got["W1"]["instances"], got["W1"]["unsolved"], got["W1"]["std"]) == (0, 0, 0.0)
         assert math.isnan(got["W1"]["median"]) and math.isnan(got["W1"]["mean"])
     header, instances, median = rebuilt.format_summary().splitlines()[:3]

@@ -14,16 +14,23 @@ import projrates.cli
 from projrates.bench import CategoryGrid
 from projrates.cli import _json_dumps, main
 from projrates.matio import read_matrix, write_matrix
-from projrates.spectral import classify_convergence, report_from_dict, report_to_dict
+from projrates.methods import iterate, parse_method
+from projrates.spectral import classify_convergence, report_to_dict
 from projrates.subspaces import (
+    Subspace,
     canonical_pair,
-    geometry_from_dict,
     geometry_to_dict,
     pair_geometry,
     subspace_from_spanning,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def pair_from_angles_json(d):
+    """The pair that ``angles --json`` printed, measured again from its bases."""
+    return pair_geometry(Subspace(np.array(d["U"])), Subspace(np.array(d["V"])),
+                         zero_tol=d["zero_tol"])
 
 
 @pytest.fixture()
@@ -61,9 +68,9 @@ def test_analyze_defective_exits_2(files, capsys):
 def test_analyze_json_round_trips(files, capsys):
     _, conv, *_ = files
     assert main(["analyze", str(conv), "--json"]) == 0
-    report = report_from_dict(json.loads(capsys.readouterr().out))
-    assert report.status == "convergent"
-    assert math.isclose(report.gamma, 0.5, rel_tol=1e-12)
+    d = json.loads(capsys.readouterr().out)
+    assert d["status"] == "convergent"
+    assert math.isclose(d["gamma"], 0.5, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +177,7 @@ def test_angles_output(files, capsys):
 def test_angles_json_round_trips(files, capsys):
     _, _, _, u_file, v_file = files
     assert main(["angles", str(u_file), str(v_file), "--json"]) == 0
-    geom = geometry_from_dict(json.loads(capsys.readouterr().out))
+    geom = pair_from_angles_json(json.loads(capsys.readouterr().out))
     assert math.isclose(geom.theta_F, 0.7, abs_tol=1e-12)
 
 
@@ -184,9 +191,35 @@ def test_angles_json_keeps_its_zero_tol(tmp_path, capsys):
     assert main(["angles", str(u_file), str(v_file), "--json", "--zero-tol", "0.7"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert (d["zero_tol"], d["s"]) == (0.7, 2)
-    back = geometry_from_dict(d)
+    back = pair_from_angles_json(d)
     assert (back.s, back.zero_tol, back.theta_F) == (2, 0.7, d["angles"][2])
     np.testing.assert_array_equal(back.angles, geom.angles)
+
+
+@pytest.mark.parametrize("n, angles, q, seed", [
+    (7, [0.0, 0.6], 3, 18),
+    # a sine below 1/8 next to zero angles: the frame re-pairs that cluster
+    (30, [0.0, 0.0, 1e-7, 0.3, 0.9, 1.2], 10, 2),
+], ids=["one-zero-angle", "tiny-angle-by-zeros"])
+def test_angles_json_rebuilds_the_pair(tmp_path, capsys, n, angles, q, seed):
+    """The bases of ``angles --json`` measure to the same pair, byte for
+    byte, as the files they were read from."""
+    u, v = canonical_pair(n, angles, q=q, seed=seed)
+    u_file, v_file = tmp_path / "u.mat", tmp_path / "v.mat"
+    write_matrix(u_file, u.basis)
+    write_matrix(v_file, v.basis)
+    geom = pair_geometry(subspace_from_spanning(read_matrix(u_file)),
+                         subspace_from_spanning(read_matrix(v_file)))
+    assert main(["angles", str(u_file), str(v_file), "--json"]) == 0
+    back = pair_from_angles_json(json.loads(capsys.readouterr().out))
+    assert back.angles.tobytes() == geom.angles.tobytes()
+    assert back.s == geom.s == angles.count(0.0)
+    assert back.P_M.tobytes() == geom.P_M.tobytes()
+    x0 = np.random.default_rng(seed).standard_normal(n)
+    for method in ("MAP", "R:best", "BT"):
+        spec = parse_method(method)
+        assert (iterate(spec, back, x0, eps=1e-10).distances.tobytes()
+                == iterate(spec, geom, x0, eps=1e-10).distances.tobytes())
 
 
 @pytest.mark.parametrize("n, angles, q", [

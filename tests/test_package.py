@@ -30,14 +30,17 @@ def test_all_lists_every_public_name():
 @pytest.mark.parametrize("name", [
     "friedrichs", "intersection", "complement", "power_limit", "subdominant_modulus",
     "empirical_rate", "perp_intersection_projector", "NotConvergentError",
+    "report_from_dict", "geometry_from_dict", "_cluster_from_json", "_check_zero_tol",
+    "_check_pair", "stats",
 ])
 def test_folded_helpers_are_gone(name):
-    """Each answer has one name: these re-derived a field of ``pair_geometry``
-    or ``classify_convergence``, or had a single caller."""
+    """Each answer has one name: these re-derived a field of ``pair_geometry``,
+    ``classify_convergence`` or ``BenchmarkTable.bin_stats``, had a single
+    caller, or read back JSON that nothing in the package reads."""
     modules = [projrates] + [importlib.import_module(f"projrates.{m.name}")
                              for m in pkgutil.iter_modules(projrates.__path__)]
     assert {"projrates.methods", "projrates.spectral", "projrates.subspaces"} <= {m.__name__ for m in modules}
-    assert not [m.__name__ for m in modules if hasattr(m, name)]
+    assert not [m.__name__ for m in [*modules, projrates.BenchmarkTable] if hasattr(m, name)]
 
 
 def test_sources_compile_without_warnings():

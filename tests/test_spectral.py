@@ -36,7 +36,6 @@ from projrates.spectral import (
     default_rank_tol,
     eigen_structure,
     operator_norm,
-    report_from_dict,
     report_to_dict,
     spectral_projectors,
 )
@@ -341,6 +340,26 @@ def test_cluster_means_within_cluster_tol_raise(fn):
         fn(a, cluster_tol=0.1)
 
 
+def test_conjugate_means_that_project_onto_one_real_value_merge():
+    """Below the default tolerance the J_2 block at 0.5 can split into a
+    conjugate pair farther apart than cluster_tol, each mean within it of
+    the real axis: both project onto one real value, which is one cluster of
+    multiplicity 2, not two clusters at distance 0."""
+    draws = [(1e-8, seed) for seed in (3, 16, 24, 26, 31, 32, 36, 37)]
+    draws += [(2e-8, seed) for seed in (0, 1, 6, 14, 17)]
+    for tol, seed in draws:
+        a = assemble([[[1.0]], jordan_block(0.5, 2), [[0.2]]], np.random.default_rng(seed))
+        eigvals = np.linalg.eigvals(a)
+        split = eigvals[np.abs(eigvals - 0.5) < 1e-6]
+        assert abs(split[0] - split[1]) > tol >= abs(split[0].imag)  # the collision
+        report = classify_convergence(a, cluster_tol=tol)
+        assert report.status == "convergent" and not report.optimal_rate_attained
+        [c] = report.subdominant_clusters
+        assert (c.algebraic_multiplicity, c.index) == (2, 2) and c.value.imag == 0.0
+        assert [c.algebraic_multiplicity for c in eigen_structure(a, tol).clusters] == [1, 2, 1]
+        assert len(spectral_projectors(a, tol)) == 3
+
+
 def test_projector_kernel_mismatch_names_the_smallest_cluster_gap():
     """At cluster_tol = 1e-14 the eigenvalues 10 and 10 + 1e-13 (10 +
     9.948e-14 in float64) stay apart, and ||A - 10 I|| = 9.948e-14 is below
@@ -641,12 +660,12 @@ def test_real_clusters_get_real_projectors_from_one_svd_each(monkeypatch):
 def test_report_round_trip():
     a, _ = nonnormal_upper_example()
     report = classify_convergence(a)
-    back = report_from_dict(report_to_dict(report))
-    assert back.status == report.status
-    assert back.gamma == report.gamma
-    assert back.optimal_rate_attained == report.optimal_rate_attained
-    np.testing.assert_array_equal(back.limit, report.limit)
-    assert [c.value for c in back.subdominant_clusters] == [
+    d = json.loads(json.dumps(report_to_dict(report)))
+    assert d["status"] == report.status
+    assert d["gamma"] == report.gamma
+    assert d["optimal_rate_attained"] == report.optimal_rate_attained
+    np.testing.assert_array_equal(d["limit"], report.limit)
+    assert [complex(c["value"]["re"], c["value"]["im"]) for c in d["subdominant_clusters"]] == [
         c.value for c in report.subdominant_clusters
     ]
 

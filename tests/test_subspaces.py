@@ -1,6 +1,4 @@
-import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -8,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import complement, distance_to_span, projector_via_normal_equations, scipy_angles
-from projrates.methods import iterate, parse_method
 from projrates.subspaces import (
     EPS,
     Subspace,
     canonical_pair,
-    geometry_from_dict,
-    geometry_to_dict,
     haar_orthogonal,
     pair_geometry,
     projector,
@@ -301,95 +296,6 @@ def test_friedrichs_angle_invariant_under_complements():
         theta = pair_geometry(u, v).theta_F
         theta_c = pair_geometry(complement(u), complement(v)).theta_F
         assert math.isclose(theta, theta_c, abs_tol=1e-10)
-
-
-def test_geometry_dict_round_trip():
-    u, v = canonical_pair(7, [0.0, 0.6], q=3, seed=18)
-    geom = pair_geometry(u, v)
-    back = geometry_from_dict(json.loads(json.dumps(geometry_to_dict(geom))))
-    assert back.s == geom.s
-    assert back.theta_F == geom.theta_F
-    assert back.theta_p == geom.theta_p
-    np.testing.assert_array_equal(back.angles, geom.angles)
-    np.testing.assert_array_equal(back.U.basis, geom.U.basis)
-    np.testing.assert_array_equal(back.V.basis, geom.V.basis)
-    np.testing.assert_array_equal(back.P_U, geom.P_U)
-    np.testing.assert_array_equal(back.P_V, geom.P_V)
-    np.testing.assert_array_equal(back.P_M, geom.P_M)
-    x0 = np.random.default_rng(18).standard_normal(7)
-    for method in ("MAP", "R:best", "BT"):
-        spec = parse_method(method)
-        np.testing.assert_array_equal(
-            iterate(spec, back, x0, eps=1e-10).distances,
-            iterate(spec, geom, x0, eps=1e-10).distances,
-        )
-
-
-def test_geometry_from_dict_rejects_bad_bases():
-    u, v = canonical_pair(7, [0.0, 0.6], q=3, seed=18)
-    d = geometry_to_dict(pair_geometry(u, v))
-    with pytest.raises(ValueError, match="disagree with the stored dimensions"):
-        geometry_from_dict({**d, "q": 2})
-    with pytest.raises(ValueError, match="not orthonormal"):
-        geometry_from_dict({**d, "U": (2.0 * u.basis).tolist()})
-    with pytest.raises(ValueError, match="ambient dimensions differ"):
-        geometry_from_dict({**d, "V": np.eye(6)[:, :3].tolist()})
-
-
-@pytest.mark.parametrize("change, message", [
-    (dict(angles=[0.0]), "need 2 ascending angles"),
-    (dict(angles=[0.0, 0.6, 0.7]), "need 2 ascending angles"),
-    (dict(angles=[0.0, math.nan]), "need 2 ascending angles"),
-    (dict(angles=[0.6, 0.0]), "need 2 ascending angles"),
-    (dict(angles=[0.0, 1.6]), "need 2 ascending angles"),
-    (dict(angles=[-0.1, 0.6]), "need 2 ascending angles"),
-    (dict(s=3), "s=3 disagrees with the angles: 1 of them"),
-    (dict(s=-1), "s=-1 disagrees with the angles: 1 of them"),
-    (dict(U=[[math.nan, 0.0]] + [[0.0, 0.0]] * 6), "not orthonormal"),
-], ids=["one-angle", "three-angles", "nan-angle", "descending", "past-right-angle",
-        "negative-angle", "s-above-p", "negative-s", "nan-basis"])
-def test_geometry_from_dict_rejects_bad_measurements(change, message):
-    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
-    with pytest.raises(ValueError, match=message):
-        geometry_from_dict({**d, **change})
-
-
-def test_geometry_from_dict_rejects_swapped_pair():
-    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
-    with pytest.raises(ValueError, match="U must be the smaller subspace, got p=3 > q=2"):
-        geometry_from_dict({**d, "U": d["V"], "V": d["U"], "p": 3, "q": 2})
-
-
-def test_geometry_from_dict_reads_thetas_off_the_angles():
-    geom = pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18))
-    d = {**geometry_to_dict(geom), "theta_F": None, "theta_p": 5.0}
-    back = geometry_from_dict(d)
-    assert back.theta_F == geom.theta_F == geom.angles[1]
-    assert back.theta_p == geom.theta_p == geom.angles[1]
-    nested = geometry_from_dict({**d, "s": 2, "zero_tol": 0.7})
-    assert nested.theta_F is None
-
-
-@pytest.mark.parametrize("s", [2, 0])
-def test_geometry_from_dict_rejects_an_s_the_angles_deny(s):
-    # s = 2 would count the 0.6 plane as intersection (MAP and BT "solved" in
-    # one step at distance 0.0), s = 0 the zero angle as not
-    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
-    assert d["zero_tol"] == 1e-8
-    message = f"s={s} disagrees with the angles: 1 of them are at most zero_tol=1e-08"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        geometry_from_dict({**d, "s": s})
-    without = {key: value for key, value in d.items() if key != "zero_tol"}
-    assert geometry_from_dict(without).s == 1  # pair_geometry's default tolerance
-    with pytest.raises(ValueError, match=re.escape(message)):
-        geometry_from_dict({**without, "s": s})
-
-
-@pytest.mark.parametrize("zero_tol", [-1.0, 2.0, math.nan])
-def test_geometry_from_dict_rejects_a_bad_zero_tol(zero_tol):
-    d = geometry_to_dict(pair_geometry(*canonical_pair(7, [0.0, 0.6], q=3, seed=18)))
-    with pytest.raises(ValueError, match="zero_tol must be >= 0 and below pi/2"):
-        geometry_from_dict({**d, "zero_tol": zero_tol})
 
 
 def test_nan_basis_and_nan_angle_rejected():
